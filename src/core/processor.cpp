@@ -643,15 +643,14 @@ std::uint64_t Processor::try_skip(std::uint64_t budget) {
   wakeup_.advance(advanced);
   stats_.queue_occupancy_sum +=
       advanced * (wakeup_.num_entries() - wakeup_.free_entries());
-  stats_.cycles += advanced;
   if (tracer_ != nullptr) {
     // One synthetic span covering the whole window on a dedicated lane;
     // the per-decision steer events inside it were already replayed by
     // idle_advance, and no other per-cycle event can occur while the
     // machine is provably idle.
-    tracer_->skip_span(stats_.cycles - advanced, advanced);
+    tracer_->skip_span(stats_.cycles, advanced);
   }
-  maybe_sample();
+  end_cycles(advanced);
   return advanced;
 }
 
@@ -827,8 +826,7 @@ void Processor::step() {
   STEERSIM_EXPECTS(!halted_ && !faulted_);
   stage_retire();
   if (halted_ || faulted_) {
-    ++stats_.cycles;
-    maybe_sample();
+    end_cycles(1);
     return;
   }
   // Checkpoint right after retire: the snapshot captures a clean boundary
@@ -863,75 +861,78 @@ void Processor::step() {
   engine_.note_utilization();
   stats_.queue_occupancy_sum +=
       wakeup_.num_entries() - wakeup_.free_entries();
-  ++stats_.cycles;
-  maybe_sample();
+  end_cycles(1);
 }
 
 RunOutcome Processor::run(std::uint64_t max_cycles) {
-  std::uint64_t last_retired = stats_.retired;
-  std::uint64_t stall_window = 0;
-  constexpr std::uint64_t kStallLimit = 100'000;
-
-  while (!halted_ && !faulted_ && stats_.cycles < max_cycles) {
+  while (!stopped() && stats_.cycles < max_cycles) {
     // Event-driven skip-ahead: when the machine is provably idle until the
     // next unit completion, advance the clock in one shot.
-    std::uint64_t advanced = try_skip(max_cycles - stats_.cycles);
-    if (advanced == 0) {
+    if (try_skip(max_cycles - stats_.cycles) == 0) {
       step();
-      advanced = 1;
     }
-    if (stats_.retired == last_retired) {
-      stall_window += advanced;
-      if (stall_window >= kStallLimit) {
-        // One-line machine-state digest so a stall report is actionable
-        // without rerunning under a debugger.
-        std::string digest =
-            "stalled: no retirement for " + std::to_string(stall_window) +
-            " cycles at cycle " + std::to_string(stats_.cycles) +
-            ", retired " + std::to_string(stats_.retired);
-        if (ruu_.empty()) {
-          digest += ", ruu empty";
-        } else {
-          const RuuEntry& head = ruu_.at(0);
-          static constexpr const char* kStateNames[] = {"waiting", "issued",
-                                                        "done"};
-          digest += ", ruu head pc " + std::to_string(head.pc) + " " +
-                    std::string(op_info(head.inst.op).mnemonic) + " (" +
-                    kStateNames[static_cast<unsigned>(head.state)] + ")";
-        }
-        digest += ", ruu " + std::to_string(ruu_.size()) + "/" +
-                  std::to_string(ruu_.capacity()) + ", queue " +
-                  std::to_string(wakeup_.num_entries() -
-                                 wakeup_.free_entries()) +
-                  "/" + std::to_string(wakeup_.num_entries()) +
-                  ", alloc [" + loader_.allocation().to_string() +
-                  "], target [" + loader_.target().to_string() + "]";
-        if (loader_.reconfiguring().any()) {
-          digest += ", reconfiguring";
-        }
-        if (loader_.fenced().any()) {
-          digest +=
-              ", fenced slots " + std::to_string(loader_.fenced().count());
-        }
-        if (loader_.corrupted().any()) {
-          digest += ", corrupted slots " +
-                    std::to_string(loader_.corrupted().count());
-        }
-        fault_message_ = std::move(digest);
-        flush_sampler();
-        return RunOutcome::kStalled;
-      }
-    } else {
-      last_retired = stats_.retired;
-      stall_window = 0;
-    }
-  }
-  if (faulted_) {
-    flush_sampler();
-    return RunOutcome::kFault;
   }
   flush_sampler();
-  return halted_ ? RunOutcome::kHalted : RunOutcome::kMaxCycles;
+  return outcome();
+}
+
+RunOutcome Processor::outcome() const {
+  if (halted_) {
+    return RunOutcome::kHalted;
+  }
+  if (faulted_) {
+    return RunOutcome::kFault;
+  }
+  return stalled_ ? RunOutcome::kStalled : RunOutcome::kMaxCycles;
+}
+
+void Processor::end_cycles(std::uint64_t cycles) {
+  stats_.cycles += cycles;
+  if (stats_.retired != last_retired_) {
+    last_retired_ = stats_.retired;
+    stall_window_ = 0;
+  } else {
+    stall_window_ += cycles;
+    if (stall_window_ >= kStallLimit && !stopped()) {
+      stalled_ = true;
+      fault_message_ = stall_digest();
+    }
+  }
+  maybe_sample();
+}
+
+std::string Processor::stall_digest() const {
+  std::string digest =
+      "stalled: no retirement for " + std::to_string(stall_window_) +
+      " cycles at cycle " + std::to_string(stats_.cycles) + ", retired " +
+      std::to_string(stats_.retired);
+  if (ruu_.empty()) {
+    digest += ", ruu empty";
+  } else {
+    const RuuEntry& head = ruu_.at(0);
+    static constexpr const char* kStateNames[] = {"waiting", "issued",
+                                                  "done"};
+    digest += ", ruu head pc " + std::to_string(head.pc) + " " +
+              std::string(op_info(head.inst.op).mnemonic) + " (" +
+              kStateNames[static_cast<unsigned>(head.state)] + ")";
+  }
+  digest += ", ruu " + std::to_string(ruu_.size()) + "/" +
+            std::to_string(ruu_.capacity()) + ", queue " +
+            std::to_string(wakeup_.num_entries() - wakeup_.free_entries()) +
+            "/" + std::to_string(wakeup_.num_entries()) + ", alloc [" +
+            loader_.allocation().to_string() + "], target [" +
+            loader_.target().to_string() + "]";
+  if (loader_.reconfiguring().any()) {
+    digest += ", reconfiguring";
+  }
+  if (loader_.fenced().any()) {
+    digest += ", fenced slots " + std::to_string(loader_.fenced().count());
+  }
+  if (loader_.corrupted().any()) {
+    digest +=
+        ", corrupted slots " + std::to_string(loader_.corrupted().count());
+  }
+  return digest;
 }
 
 }  // namespace steersim

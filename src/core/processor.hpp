@@ -155,13 +155,20 @@ class Processor {
   /// Advances one clock cycle.
   void step();
 
-  /// Runs until HALT retires, a fault commits, or `max_cycles` elapse.
+  /// Runs until the machine stops (see outcome()) or the absolute cycle
+  /// target `max_cycles` is reached. Resumable: the stop state lives in
+  /// the Processor, so any split of a run into windows stops where one
+  /// call would, with the same outcome and fault_message().
   RunOutcome run(std::uint64_t max_cycles = 50'000'000);
 
+  /// The stop contract, for run() and every external stepping loop:
+  /// kHalted, kFault or kStalled (kStallLimit cycles without retirement)
+  /// once the machine stopped (stopped() is true and callers step it no
+  /// further), kMaxCycles while it is live.
+  RunOutcome outcome() const;
+  bool stopped() const { return halted_ || faulted_ || stalled_; }
   bool halted() const { return halted_; }
-  /// True once an injected fault escaped recovery (run() would return
-  /// RunOutcome::kFault); the multi-core lockstep driver mirrors run()'s
-  /// loop condition through this.
+  /// True once a committed memory access faulted.
   bool faulted() const { return faulted_; }
   const SimStats& stats() const { return stats_; }
   const RegisterFile& registers() const { return regs_; }
@@ -176,6 +183,8 @@ class Processor {
   const FetchUnit& fetch_unit() const { return fetch_; }
   const TraceCache* trace_cache() const { return trace_cache_.get(); }
   const DataCache* dcache() const { return dcache_.get(); }
+  /// Why the machine faulted or stalled: the faulting access, or the
+  /// one-line machine-state digest of a stall. Empty otherwise.
   const std::string& fault_message() const { return fault_message_; }
   const MachineConfig& config() const { return config_; }
   /// Injection-side fault statistics (detection/repair live in
@@ -218,6 +227,14 @@ class Processor {
   /// Throws std::invalid_argument on an inconsistent configuration; called
   /// before any member constructs so no module ever sees bad parameters.
   static const MachineConfig& validated(const MachineConfig& config);
+
+  /// Closes `cycles` elapsed cycles (one stepped, or a skip window):
+  /// advances the clock, the no-retirement window and the stall latch,
+  /// then the sampler.
+  void end_cycles(std::uint64_t cycles);
+  /// One-line machine-state digest of a stall, so a stall report is
+  /// actionable without rerunning under a debugger.
+  std::string stall_digest() const;
 
   /// End-of-cycle sampler hook: one pointer compare when sampling is off.
   void maybe_sample();
@@ -295,15 +312,25 @@ class Processor {
   FixedVector<Opcode, kMaxWakeupEntries> ready_ops_cache_;
   std::uint64_t steer_ready_version_ = ~std::uint64_t{0};
   bool ready_dirty_ = true;
-  /// Skip-ahead is structurally allowed: no observers (tracer, audit,
-  /// sampler), no recovery, no fault injection, no pipelined units. Fixed
-  /// at construction.
+  /// Skip-ahead is structurally allowed: no recovery, no fault injection,
+  /// no pipelined units (observers do not veto it). Fixed at construction.
   bool skip_eligible_ = false;
 
   SimStats stats_;
   FaultStats fault_stats_;
   bool halted_ = false;
   bool faulted_ = false;
+  /// No-retirement window after which the machine counts as stalled. The
+  /// paper's machine keeps one fixed unit of every type, so every
+  /// instruction eventually executes: a window this long is a program
+  /// (e.g. no reachable HALT) or simulator bug, never the fabric's doing.
+  static constexpr std::uint64_t kStallLimit = 100'000;
+  /// Latched once `stall_window_` reaches kStallLimit.
+  bool stalled_ = false;
+  /// Retirement count when the current no-retirement window opened, and
+  /// the window's length in cycles.
+  std::uint64_t last_retired_ = 0;
+  std::uint64_t stall_window_ = 0;
   /// A rollback trigger fired earlier this cycle; applied after steer.
   bool rollback_pending_ = false;
   /// Loader ecc_uncorrectable count already inspected for triggers.

@@ -7,14 +7,6 @@
 #include "common/contracts.hpp"
 
 namespace steersim {
-namespace {
-
-/// Mirrors Processor::run()'s no-retirement stall limit: the lockstep
-/// driver cannot reuse run() (rounds interleave cores), so it re-applies
-/// the same cutoff per core.
-constexpr std::uint64_t kStallLimit = 100'000;
-
-}  // namespace
 
 MultiCoreSim::MultiCoreSim(std::vector<CoreSpec> specs,
                            const MultiCoreParams& params)
@@ -44,19 +36,7 @@ MultiCoreSim::MultiCoreSim(std::vector<CoreSpec> specs,
     fabric_tracer_ = std::make_unique<Tracer>(fabric_trace);
     fabric_->set_tracer(fabric_tracer_.get());
   }
-  outcome_.assign(n, RunOutcome::kMaxCycles);
-  finished_.assign(n, false);
-  last_retired_.assign(n, 0);
-  stall_window_.assign(n, 0);
   live_ = n;
-}
-
-void MultiCoreSim::finish_core(unsigned k, RunOutcome outcome) {
-  finished_[k] = true;
-  outcome_[k] = outcome;
-  cores_[k]->flush_sampler();
-  STEERSIM_ENSURES(live_ > 0);
-  --live_;
 }
 
 bool MultiCoreSim::done() const { return live_ == 0; }
@@ -65,23 +45,14 @@ RunOutcome MultiCoreSim::run(std::uint64_t max_cycles) {
   const std::span<Processor* const> cores(core_ptrs_);
   while (live_ > 0 && cycle_ < max_cycles) {
     fabric_->begin_cycle(cycle_, cores);
-    for (unsigned k = 0; k < cores_.size(); ++k) {
-      if (finished_[k]) {
+    for (Processor* cpu : core_ptrs_) {
+      if (cpu->stopped()) {
         continue;
       }
-      Processor& cpu = *cores_[k];
-      cpu.step();
-      if (cpu.halted()) {
-        finish_core(k, RunOutcome::kHalted);
-      } else if (cpu.faulted()) {
-        finish_core(k, RunOutcome::kFault);
-      } else if (cpu.stats().retired == last_retired_[k]) {
-        if (++stall_window_[k] >= kStallLimit) {
-          finish_core(k, RunOutcome::kStalled);
-        }
-      } else {
-        last_retired_[k] = cpu.stats().retired;
-        stall_window_[k] = 0;
+      cpu->step();
+      if (cpu->stopped()) {
+        cpu->flush_sampler();
+        --live_;
       }
     }
     fabric_->end_cycle(cores);
@@ -91,15 +62,25 @@ RunOutcome MultiCoreSim::run(std::uint64_t max_cycles) {
     return RunOutcome::kMaxCycles;
   }
   RunOutcome worst = RunOutcome::kHalted;
-  for (const RunOutcome outcome : outcome_) {
-    if (outcome == RunOutcome::kFault) {
+  for (const Processor* cpu : core_ptrs_) {
+    if (cpu->outcome() == RunOutcome::kFault) {
       return RunOutcome::kFault;
     }
-    if (outcome == RunOutcome::kStalled) {
+    if (cpu->outcome() == RunOutcome::kStalled) {
       worst = RunOutcome::kStalled;
     }
   }
   return worst;
+}
+
+std::string MultiCoreSim::fault_message() const {
+  for (unsigned k = 0; k < cores_.size(); ++k) {
+    const RunOutcome outcome = cores_[k]->outcome();
+    if (outcome == RunOutcome::kFault || outcome == RunOutcome::kStalled) {
+      return "core" + std::to_string(k) + ": " + cores_[k]->fault_message();
+    }
+  }
+  return {};
 }
 
 MultiCoreResult MultiCoreSim::collect() {
@@ -108,9 +89,8 @@ MultiCoreResult MultiCoreSim::collect() {
   std::uint64_t total_retired = 0;
   for (unsigned k = 0; k < cores_.size(); ++k) {
     cores_[k]->flush_sampler();
-    result.cores.push_back(collect_result(
-        *cores_[k], policies_[k],
-        finished_[k] ? outcome_[k] : RunOutcome::kMaxCycles));
+    result.cores.push_back(
+        collect_result(*cores_[k], policies_[k], cores_[k]->outcome()));
     total_retired += cores_[k]->stats().retired;
   }
   result.fabric = fabric_->stats();

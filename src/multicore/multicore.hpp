@@ -50,11 +50,11 @@ class MultiCoreSim {
  public:
   MultiCoreSim(std::vector<CoreSpec> specs, const MultiCoreParams& params);
 
-  /// Runs lockstep rounds until every core finished or the absolute
-  /// cycle target is reached (resumable — the service's cancellation
-  /// windows call this repeatedly with growing targets). Returns
-  /// kMaxCycles while cores remain live, else the worst per-core
-  /// terminal outcome (fault > stall > halt).
+  /// Runs lockstep rounds until every core stopped (each core's own
+  /// Processor::outcome() decides) or the absolute cycle target is
+  /// reached (resumable — the service's cancellation windows call this
+  /// repeatedly with growing targets). Returns kMaxCycles while cores
+  /// remain live, else the worst per-core outcome (fault > stall > halt).
   RunOutcome run(std::uint64_t max_cycles);
 
   bool done() const;
@@ -64,7 +64,11 @@ class MultiCoreSim {
   }
   Processor& core(unsigned k) { return *cores_[k]; }
   const Processor& core(unsigned k) const { return *cores_[k]; }
-  RunOutcome core_outcome(unsigned k) const { return outcome_[k]; }
+  RunOutcome core_outcome(unsigned k) const { return cores_[k]->outcome(); }
+  /// "coreK: " plus the fault_message() of the first core that faulted or
+  /// stalled (the access fault, or the stall's machine-state digest);
+  /// empty while none has.
+  std::string fault_message() const;
   const SharedFabric& fabric() const { return *fabric_; }
 
   /// Gathers every core's SimResult plus fabric statistics; flushes
@@ -73,7 +77,6 @@ class MultiCoreSim {
   MultiCoreResult collect();
 
  private:
-  void finish_core(unsigned k, RunOutcome outcome);
   void merge_traces();
 
   MultiCoreParams params_;
@@ -82,10 +85,6 @@ class MultiCoreSim {
   std::vector<Processor*> core_ptrs_;
   std::unique_ptr<SharedFabric> fabric_;
   std::unique_ptr<Tracer> fabric_tracer_;
-  std::vector<RunOutcome> outcome_;
-  std::vector<bool> finished_;
-  std::vector<std::uint64_t> last_retired_;
-  std::vector<std::uint64_t> stall_window_;
   unsigned live_ = 0;
   std::uint64_t cycle_ = 0;
   bool traces_merged_ = false;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <future>
 #include <map>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -122,6 +120,43 @@ const Kernel* find_kernel(const std::string& name) {
     }
   }
   return nullptr;
+}
+
+/// A submit naming a kernel or ELF fixture the service does not have.
+struct UnknownName : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The one way a submit turns into a Program, for the request itself and
+/// for each `multi` entry: a workload kernel, inline asm or a committed
+/// RV32 ELF fixture (the caller checked that exactly one is named). Mixes
+/// the bytes the job digest covers into `digest`: the asm text for kernel
+/// and asm programs, the raw image for ELF fixtures (identical binaries
+/// share one cache entry whatever name they were submitted under).
+/// Throws UnknownName; assembler, ELF and RV32 errors propagate.
+Program resolve_program(const std::string& kernel,
+                        const std::string& asm_source,
+                        const std::string& elf, Fnv1a& digest) {
+  if (!kernel.empty()) {
+    const Kernel* found = find_kernel(kernel);
+    if (found == nullptr) {
+      throw UnknownName("unknown kernel '" + kernel + "'");
+    }
+    digest.mix(found->source);
+    return assemble(found->source, found->name);
+  }
+  if (!elf.empty()) {
+    const Rv32Fixture* fixture = rv32_fixture_find(elf);
+    if (fixture == nullptr) {
+      throw UnknownName("unknown elf fixture '" + elf + "'");
+    }
+    const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
+    digest.mix(std::string_view(reinterpret_cast<const char*>(image.data()),
+                                image.size()));
+    return elf::load_elf_program(image, fixture->name);
+  }
+  digest.mix(asm_source);
+  return assemble(asm_source, "asm");
 }
 
 }  // namespace
@@ -263,151 +298,79 @@ Reply SimService::handle_submit(const Request& request) {
                         "service is draining");
   }
 
-  const bool has_kernel = !request.kernel.empty();
-  const bool has_asm = !request.asm_source.empty();
-  const bool has_elf = !request.elf.empty();
   const bool is_multi = !request.multi.empty();
+  const int named = static_cast<int>(!request.kernel.empty()) +
+                    static_cast<int>(!request.asm_source.empty()) +
+                    static_cast<int>(!request.elf.empty());
   if (is_multi) {
-    if (has_kernel || has_asm || has_elf) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      return Reply::error(request.id, error_code::kBadRequest,
-                          "'multi' is exclusive with 'kernel', 'asm' and "
-                          "'elf'");
+    if (named != 0) {
+      return bad_request(request.id,
+                         "'multi' is exclusive with 'kernel', 'asm' and "
+                         "'elf'");
     }
     if (request.multi.size() > 8) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      return Reply::error(request.id, error_code::kBadRequest,
-                          "'multi' supports 1..8 cores");
+      return bad_request(request.id, "'multi' supports 1..8 cores");
     }
-  } else if (static_cast<int>(has_kernel) + static_cast<int>(has_asm) +
-                 static_cast<int>(has_elf) !=
-             1) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "exactly one of 'kernel', 'asm' and 'elf' is "
-                        "required");
+  } else if (named != 1) {
+    return bad_request(request.id,
+                       "exactly one of 'kernel', 'asm' and 'elf' is "
+                       "required");
   }
   auto job = std::make_shared<Job>();
   job->request = request;
   job->wall_ms = request.wall_ms;
   if (is_multi && !parse_arbiter(request.arbiter, job->arbiter)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "unknown arbiter '" + request.arbiter + "'");
+    return bad_request(request.id,
+                       "unknown arbiter '" + request.arbiter + "'");
   }
-  // `source` is what the job digest covers alongside the effective
-  // config: asm text for kernel/asm jobs, the raw ELF image bytes for elf
-  // jobs (identical binaries share one cache entry whatever name they
-  // were submitted under). Multi-core jobs digest every core's source and
-  // policy label plus the arbiter, accumulated into `multi_digest`.
-  std::string elf_image_bytes;
-  std::string_view source;
-  std::string program_name;
-  Fnv1a multi_digest;
+  // The job digest covers the program bytes (resolve_program) and then
+  // the effective config. Multi-core jobs digest every core's program and
+  // policy label plus the arbiter.
+  Fnv1a digest;
   try {
-    if (is_multi) {
-      multi_digest.mix("multi");
+    if (!is_multi) {
+      job->program = resolve_program(request.kernel, request.asm_source,
+                                     request.elf, digest);
+    } else {
+      digest.mix("multi");
       for (const MultiEntry& entry : request.multi) {
-        const bool entry_kernel = !entry.kernel.empty();
-        const bool entry_elf = !entry.elf.empty();
-        if (entry_kernel == entry_elf) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "each 'multi' entry needs exactly one of "
-                              "'kernel' and 'elf'");
+        if (entry.kernel.empty() == entry.elf.empty()) {
+          return bad_request(request.id,
+                             "each 'multi' entry needs exactly one of "
+                             "'kernel' and 'elf'");
         }
         CoreSpec core;
         if (!parse_policy(entry.policy, core.policy)) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "unknown policy '" + entry.policy + "'");
+          return bad_request(request.id,
+                             "unknown policy '" + entry.policy + "'");
         }
-        if (entry_kernel) {
-          const Kernel* kernel = find_kernel(entry.kernel);
-          if (kernel == nullptr) {
-            bad_requests_.fetch_add(1, std::memory_order_relaxed);
-            return Reply::error(request.id, error_code::kBadRequest,
-                                "unknown kernel '" + entry.kernel + "'");
-          }
-          multi_digest.mix(kernel->source);
-          core.program = assemble(kernel->source, kernel->name);
-        } else {
-          const Rv32Fixture* fixture = rv32_fixture_find(entry.elf);
-          if (fixture == nullptr) {
-            bad_requests_.fetch_add(1, std::memory_order_relaxed);
-            return Reply::error(request.id, error_code::kBadRequest,
-                                "unknown elf fixture '" + entry.elf + "'");
-          }
-          const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
-          multi_digest.mix(std::string_view(
-              reinterpret_cast<const char*>(image.data()), image.size()));
-          core.program = elf::load_elf_program(
-              std::span<const std::uint8_t>(image.data(), image.size()),
-              fixture->name);
-        }
-        multi_digest.mix(entry.policy);
+        core.program = resolve_program(entry.kernel, {}, entry.elf, digest);
+        digest.mix(entry.policy);
         job->cores.push_back(std::move(core));
       }
-      multi_digest.mix(arbiter_name(job->arbiter));
-    } else {
-      if (has_kernel) {
-        const Kernel* kernel = find_kernel(request.kernel);
-        if (kernel == nullptr) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "unknown kernel '" + request.kernel + "'");
-        }
-        source = kernel->source;
-        program_name = kernel->name;
-      } else if (has_elf) {
-        const Rv32Fixture* fixture = rv32_fixture_find(request.elf);
-        if (fixture == nullptr) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "unknown elf fixture '" + request.elf + "'");
-        }
-        const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
-        elf_image_bytes.assign(image.begin(), image.end());
-        source = elf_image_bytes;
-        program_name = fixture->name;
-      } else {
-        source = request.asm_source;
-        program_name = "asm";
-      }
-      if (has_elf) {
-        const auto* bytes =
-            reinterpret_cast<const std::uint8_t*>(elf_image_bytes.data());
-        job->program = elf::load_elf_program(
-            std::span<const std::uint8_t>(bytes, elf_image_bytes.size()),
-            program_name);
-      } else {
-        job->program = assemble(source, program_name);
-      }
+      digest.mix(arbiter_name(job->arbiter));
     }
+  } catch (const UnknownName& e) {
+    return bad_request(request.id, e.what());
   } catch (const AssemblyError& e) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "assembly failed: " + std::string(e.what()));
+    return bad_request(request.id,
+                       "assembly failed: " + std::string(e.what()));
   } catch (const elf::ElfError& e) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "elf load failed: " + std::string(e.what()));
+    return bad_request(request.id,
+                       "elf load failed: " + std::string(e.what()));
   } catch (const rv32::Rv32Error& e) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "rv32 translation failed: " + std::string(e.what()));
+    return bad_request(request.id, "rv32 translation failed: " +
+                                       std::string(e.what()));
   }
 
   if (!parse_policy(request.policy, job->spec)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "unknown policy '" + request.policy + "'");
+    return bad_request(request.id,
+                       "unknown policy '" + request.policy + "'");
   }
   if (request.interval < 1 || request.interval > 1'000'000 ||
       request.confirm < 1 || request.confirm > 1'000'000) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "'interval' and 'confirm' must be in [1, 1e6]");
+    return bad_request(request.id,
+                       "'interval' and 'confirm' must be in [1, 1e6]");
   }
   job->spec.interval = static_cast<unsigned>(request.interval);
   job->spec.confirm = static_cast<unsigned>(request.confirm);
@@ -425,8 +388,7 @@ Reply SimService::handle_submit(const Request& request) {
   for (const auto& [name, value] : request.config) {
     std::string error;
     if (!apply_knob(job->machine, name, value, error)) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      return Reply::error(request.id, error_code::kBadRequest, error);
+      return bad_request(request.id, std::move(error));
     }
   }
 
@@ -434,14 +396,9 @@ Reply SimService::handle_submit(const Request& request) {
                     ? config_.default_max_cycles
                     : std::min(request.max_cycles,
                                config_.max_cycles_ceiling);
-  const std::string config_key =
-      effective_config_key(job->machine, job->spec, job->budget);
-  job->key = is_multi ? multi_digest.mix(config_key).value()
-                      : job_digest(source, config_key);
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(job->key));
-  job->digest_hex = hex;
+  digest.mix(effective_config_key(job->machine, job->spec, job->budget));
+  job->key = digest.value();
+  job->digest_hex = digest.hex();
 
   if (auto chaos = ChaosInjector::global()) {
     chaos->maybe_cache_slow();
@@ -476,210 +433,136 @@ Reply SimService::handle_submit(const Request& request) {
 
 void SimService::run_job(Job& job) {
   job.worker_slot.store(pool_.current_slot(), std::memory_order_release);
-  if (job.replied.load(std::memory_order_acquire)) {
-    // The watchdog already answered this job (its deadline blew while it
-    // sat in the queue and the grace period elapsed); only bookkeeping
-    // remains.
-    job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                          std::memory_order_release);
-    unregister_watch(job);
-    return;
-  }
-  if (auto chaos = ChaosInjector::global()) {
-    // Deliberately outside the try below: a chaos crash models an
-    // exception the job wrapper itself fails to absorb, so it must reach
-    // the WorkerPool's crash isolation (and the crash handler's
-    // `worker_crashed` reply), not the catch clauses here.
-    chaos->maybe_worker_stall();
-    chaos->maybe_worker_crash();
-  }
-  WallTimer timer;
-  Reply reply;
-  reply.id = job.request.id;
-  if (stop_now_.load(std::memory_order_relaxed)) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    deliver(job, Reply::error(job.request.id, error_code::kCancelled,
-                              "cancelled before start"));
-    job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                          std::memory_order_release);
-    unregister_watch(job);
-    return;
-  }
-  if (job.cancel.load(std::memory_order_acquire)) {
-    deliver(job,
-            Reply::error(job.request.id, error_code::kWallDeadline,
-                         "wall deadline " + std::to_string(job.wall_ms) +
-                             " ms exceeded before the job started; resubmit",
-                         /*retriable=*/true));
-    job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                          std::memory_order_release);
-    unregister_watch(job);
-    return;
-  }
-  try {
-    if (!job.cores.empty()) {
-      run_multi(job, reply);
-      if (deliver(job, std::move(reply))) {
+  // The watchdog may already have answered this job (its deadline blew
+  // while it sat in the queue and the grace period elapsed); then only the
+  // bookkeeping below remains.
+  if (!job.replied.load(std::memory_order_acquire)) {
+    if (auto chaos = ChaosInjector::global()) {
+      // Deliberately outside execute()'s try: a chaos crash models an
+      // exception the job wrapper itself fails to absorb, so it must
+      // reach the WorkerPool's crash isolation (and the crash handler's
+      // `worker_crashed` reply), not the catch clauses there.
+      chaos->maybe_worker_stall();
+      chaos->maybe_worker_crash();
+    }
+    if (stop_now_.load(std::memory_order_relaxed)) {
+      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      deliver(job, Reply::error(job.request.id, error_code::kCancelled,
+                                "cancelled before start"));
+    } else if (job.cancel.load(std::memory_order_acquire)) {
+      deliver(job, Reply::error(job.request.id, error_code::kWallDeadline,
+                                "wall deadline " +
+                                    std::to_string(job.wall_ms) +
+                                    " ms exceeded before the job started; "
+                                    "resubmit",
+                                /*retriable=*/true));
+    } else {
+      WallTimer timer;
+      if (deliver(job, execute(job))) {
         record_latency(timer.seconds());
       }
-      job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                            std::memory_order_release);
-      unregister_watch(job);
-      return;
     }
-    auto cpu = make_processor(job.program, job.machine, job.spec);
-    // Deadline via the cycle budget, cancellation at sampler-window
-    // granularity: run() is resumable (max_cycles is an absolute target),
-    // so the worker advances one window at a time and polls the stop flag
-    // between windows. Jobs with sampling configured use their own period
-    // so cancellation never lands mid-window.
-    const std::uint64_t window = job.machine.sample.enabled()
-                                     ? job.machine.sample.period
-                                     : config_.cancel_check_cycles;
-    RunOutcome outcome = RunOutcome::kMaxCycles;
-    bool cancelled = false;
-    bool wall_expired = false;
-    while (true) {
-      const std::uint64_t target =
-          std::min(job.budget, cpu->stats().cycles + window);
-      outcome = cpu->run(target);
-      if (outcome != RunOutcome::kMaxCycles ||
-          cpu->stats().cycles >= job.budget) {
-        break;
-      }
-      if (stop_now_.load(std::memory_order_relaxed)) {
-        cancelled = true;
-        break;
-      }
-      if (job.cancel.load(std::memory_order_relaxed)) {
-        wall_expired = true;
-        break;
-      }
-    }
-    if (cancelled) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      reply = Reply::error(job.request.id, error_code::kCancelled,
-                           "cancelled at cycle " +
-                               std::to_string(cpu->stats().cycles));
-    } else if (wall_expired) {
-      // Counted by the watchdog when it set job.cancel.
-      reply = Reply::error(job.request.id, error_code::kWallDeadline,
-                           "wall deadline " + std::to_string(job.wall_ms) +
-                               " ms exceeded at cycle " +
-                               std::to_string(cpu->stats().cycles) +
-                               "; resubmit",
-                           /*retriable=*/true);
-    } else if (outcome == RunOutcome::kMaxCycles) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      reply = Reply::error(job.request.id, error_code::kDeadline,
-                           "cycle budget " + std::to_string(job.budget) +
-                               " exhausted before HALT");
-    } else if (outcome == RunOutcome::kStalled ||
-               outcome == RunOutcome::kFault) {
-      sim_faults_.fetch_add(1, std::memory_order_relaxed);
-      reply = Reply::error(job.request.id, error_code::kSimFault,
-                           cpu->fault_message());
-    } else {
-      const SimResult result = collect_result(*cpu, job.spec, outcome);
-      reply.type = ReplyType::kResult;
-      reply.cache = "miss";
-      reply.digest = job.digest_hex;
-      reply.policy = result.policy;
-      reply.outcome = std::string(outcome_name(outcome));
-      reply.cycles = result.stats.cycles;
-      reply.retired = result.stats.retired;
-      reply.metrics_json = canonical_metrics_json(collect_metrics(result));
-      cache_.insert(job.key, reply);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } catch (const std::invalid_argument& e) {
-    // Processor::validated rejected the override combination.
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    reply = Reply::error(job.request.id, error_code::kBadRequest, e.what());
-  } catch (const std::exception& e) {
-    sim_faults_.fetch_add(1, std::memory_order_relaxed);
-    reply = Reply::error(job.request.id, error_code::kSimFault, e.what());
-  }
-  if (deliver(job, std::move(reply))) {
-    record_latency(timer.seconds());
   }
   job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
                         std::memory_order_release);
   unregister_watch(job);
 }
 
-void SimService::run_multi(Job& job, Reply& reply) {
-  MultiCoreParams params;
-  params.arbiter = job.arbiter;
-  params.machine = job.machine;
-  MultiCoreSim sim(job.cores, params);
+Reply SimService::execute(Job& job) {
+  try {
+    if (job.cores.empty()) {
+      auto cpu = make_processor(job.program, job.machine, job.spec);
+      return drive(job, *cpu, "HALT", [&](Reply& reply) {
+        const SimResult result =
+            collect_result(*cpu, job.spec, RunOutcome::kHalted);
+        reply.policy = result.policy;
+        reply.cycles = result.stats.cycles;
+        reply.retired = result.stats.retired;
+        reply.metrics_json = canonical_metrics_json(collect_metrics(result));
+      });
+    }
+    MultiCoreParams params;
+    params.arbiter = job.arbiter;
+    params.machine = job.machine;
+    MultiCoreSim sim(job.cores, params);
+    return drive(job, sim, "every core halted", [&](Reply& reply) {
+      const MultiCoreResult result = sim.collect();
+      reply.policy = "multi:" + std::string(arbiter_name(job.arbiter));
+      reply.cycles = result.cycles;
+      reply.retired = result.fabric.total_retired;
+      reply.metrics_json =
+          canonical_metrics_json(collect_multicore_metrics(result));
+    });
+  } catch (const std::invalid_argument& e) {
+    // Processor::validated rejected the override combination.
+    return bad_request(job.request.id, e.what());
+  } catch (const std::exception& e) {
+    sim_faults_.fetch_add(1, std::memory_order_relaxed);
+    return Reply::error(job.request.id, error_code::kSimFault, e.what());
+  }
+}
+
+template <typename Sim, typename Render>
+Reply SimService::drive(Job& job, Sim& sim, std::string_view goal,
+                        Render&& render) {
+  // Deadline via the cycle budget, cancellation at sampler-window
+  // granularity: run() is resumable on both machines (its argument is an
+  // absolute target), so the worker advances one window at a time and
+  // polls the stop flags between windows. Jobs with sampling configured
+  // use their own period so cancellation never lands mid-window. A run()
+  // answering kMaxCycles always reached its target, so `cycle` is where
+  // the machine stands.
   const std::uint64_t window = job.machine.sample.enabled()
                                    ? job.machine.sample.period
                                    : config_.cancel_check_cycles;
-  RunOutcome outcome = RunOutcome::kMaxCycles;
-  bool cancelled = false;
-  bool wall_expired = false;
-  while (true) {
-    const std::uint64_t target = std::min(job.budget, sim.cycles() + window);
-    outcome = sim.run(target);
-    if (outcome != RunOutcome::kMaxCycles || sim.cycles() >= job.budget) {
-      break;
-    }
+  std::uint64_t cycle = std::min(job.budget, window);
+  RunOutcome outcome = sim.run(cycle);
+  while (outcome == RunOutcome::kMaxCycles && cycle < job.budget) {
     if (stop_now_.load(std::memory_order_relaxed)) {
-      cancelled = true;
-      break;
+      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      return Reply::error(job.request.id, error_code::kCancelled,
+                          "cancelled at cycle " + std::to_string(cycle));
     }
     if (job.cancel.load(std::memory_order_relaxed)) {
-      wall_expired = true;
+      // Counted by the watchdog when it set job.cancel.
+      return Reply::error(job.request.id, error_code::kWallDeadline,
+                          "wall deadline " + std::to_string(job.wall_ms) +
+                              " ms exceeded at cycle " +
+                              std::to_string(cycle) + "; resubmit",
+                          /*retriable=*/true);
+    }
+    cycle = std::min(job.budget, cycle + window);
+    outcome = sim.run(cycle);
+  }
+  switch (outcome) {
+    case RunOutcome::kMaxCycles:
+      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      return Reply::error(job.request.id, error_code::kDeadline,
+                          "cycle budget " + std::to_string(job.budget) +
+                              " exhausted before " + std::string(goal));
+    case RunOutcome::kStalled:
+    case RunOutcome::kFault:
+      sim_faults_.fetch_add(1, std::memory_order_relaxed);
+      return Reply::error(job.request.id, error_code::kSimFault,
+                          sim.fault_message());
+    case RunOutcome::kHalted:
       break;
-    }
   }
-  if (cancelled) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    reply = Reply::error(job.request.id, error_code::kCancelled,
-                         "cancelled at cycle " +
-                             std::to_string(sim.cycles()));
-  } else if (wall_expired) {
-    reply = Reply::error(job.request.id, error_code::kWallDeadline,
-                         "wall deadline " + std::to_string(job.wall_ms) +
-                             " ms exceeded at cycle " +
-                             std::to_string(sim.cycles()) + "; resubmit",
-                         /*retriable=*/true);
-  } else if (outcome == RunOutcome::kMaxCycles) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    reply = Reply::error(job.request.id, error_code::kDeadline,
-                         "cycle budget " + std::to_string(job.budget) +
-                             " exhausted before every core halted");
-  } else if (outcome == RunOutcome::kStalled ||
-             outcome == RunOutcome::kFault) {
-    sim_faults_.fetch_add(1, std::memory_order_relaxed);
-    std::string message = "multi-core simulation did not halt";
-    for (unsigned k = 0; k < sim.num_cores(); ++k) {
-      const RunOutcome core_outcome = sim.core_outcome(k);
-      if (core_outcome == RunOutcome::kFault ||
-          core_outcome == RunOutcome::kStalled) {
-        const std::string& fault = sim.core(k).fault_message();
-        message = "core" + std::to_string(k) + ": " +
-                  (fault.empty() ? std::string(outcome_name(core_outcome))
-                                 : fault);
-        break;
-      }
-    }
-    reply = Reply::error(job.request.id, error_code::kSimFault, message);
-  } else {
-    const MultiCoreResult result = sim.collect();
-    reply.type = ReplyType::kResult;
-    reply.cache = "miss";
-    reply.digest = job.digest_hex;
-    reply.policy = "multi:" + std::string(arbiter_name(job.arbiter));
-    reply.outcome = std::string(outcome_name(outcome));
-    reply.cycles = result.cycles;
-    reply.retired = result.fabric.total_retired;
-    reply.metrics_json =
-        canonical_metrics_json(collect_multicore_metrics(result));
-    cache_.insert(job.key, reply);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-  }
+  Reply reply;
+  reply.type = ReplyType::kResult;
+  reply.id = job.request.id;
+  reply.cache = "miss";
+  reply.digest = job.digest_hex;
+  reply.outcome = std::string(outcome_name(outcome));
+  render(reply);
+  cache_.insert(job.key, reply);
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  return reply;
+}
+
+Reply SimService::bad_request(const std::string& id, std::string message) {
+  bad_requests_.fetch_add(1, std::memory_order_relaxed);
+  return Reply::error(id, error_code::kBadRequest, std::move(message));
 }
 
 bool SimService::deliver(Job& job, Reply reply) {

@@ -160,9 +160,10 @@ class SimService {
   MetricRegistry metrics() const;
   const ServiceConfig& config() const { return config_; }
 
-  /// The cache key recipe, exposed for tests: FNV-1a/64 over the program
-  /// source bytes and the canonical effective-config rendering (machine
-  /// knobs, policy spec, cycle budget).
+  /// The single-core cache key recipe, exposed for tests: FNV-1a/64 over
+  /// the program source bytes and the canonical effective-config
+  /// rendering (machine knobs, policy spec, cycle budget). handle_submit
+  /// mixes the same chunks incrementally.
   static std::uint64_t job_digest(std::string_view program_source,
                                   const std::string& config_key);
 
@@ -174,11 +175,19 @@ class SimService {
   using JobPtr = std::shared_ptr<Job>;
 
   Reply handle_submit(const Request& request);
+  /// Counts a validation failure and shapes its non-retriable reply.
+  Reply bad_request(const std::string& id, std::string message);
+  /// Worker entry: answers the job once, then releases its worker slot
+  /// and watch entry.
   void run_job(Job& job);
-  /// Multi-core (`multi` job kind) body of run_job: drives a lockstep
-  /// MultiCoreSim under the same budget/cancellation windows and shapes
-  /// `reply` (result or typed error).
-  void run_multi(Job& job, Reply& reply);
+  /// Builds the job's machine (a Processor, or a MultiCoreSim for the
+  /// `multi` kind) and drives it to a reply.
+  Reply execute(Job& job);
+  /// The one cancellation-window loop and outcome->reply mapper for
+  /// both job kinds. `goal` names what the budget ran out before;
+  /// `render` fills a halted job's kind-specific result fields.
+  template <typename Sim, typename Render>
+  Reply drive(Job& job, Sim& sim, std::string_view goal, Render&& render);
   /// Deliver-once latch: sets the job's promise if nobody has yet.
   /// Returns true when this call won the race (worker vs watchdog vs
   /// crash handler).

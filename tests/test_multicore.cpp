@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "config/loader.hpp"
+#include "isa/assembler.hpp"
 #include "multicore/multicore.hpp"
 #include "sim/metrics.hpp"
 #include "workload/kernels.hpp"
@@ -219,6 +220,25 @@ TEST(MultiCore, RetirementIsConserved) {
   EXPECT_EQ(sum, result.fabric.total_retired);
   EXPECT_LE(result.fabric.slot_cycles_used, result.fabric.slot_cycles_total);
   EXPECT_EQ(result.fabric.cycles, result.cycles);
+}
+
+TEST(MultiCore, StalledCoreNamesItselfWithItsDigest) {
+  // Core 1 has no HALT: it stops retiring after two instructions while
+  // core 0 halts. The run's outcome is the worse one, and the message
+  // names the stalled core and carries its machine-state digest.
+  MultiCoreSim sim({core_spec("dot_int"),
+                    CoreSpec{assemble("  addi r1, r0, 1\n  addi r2, r1, 2\n"),
+                             PolicySpec{}}},
+                   MultiCoreParams{});
+  EXPECT_EQ(sim.run(300'000), RunOutcome::kStalled);
+  EXPECT_EQ(sim.core_outcome(0), RunOutcome::kHalted);
+  EXPECT_EQ(sim.core_outcome(1), RunOutcome::kStalled);
+  EXPECT_EQ(sim.fault_message(), "core1: " + sim.core(1).fault_message());
+  EXPECT_EQ(sim.fault_message().rfind("core1: stalled: no retirement for "
+                                      "100000 cycles",
+                                      0),
+            0u)
+      << sim.fault_message();
 }
 
 TEST(MultiCore, QuotasPartitionThePoolDisjointly) {

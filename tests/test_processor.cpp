@@ -3,10 +3,15 @@
 // (registers, data memory, retired-instruction count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/reference.hpp"
 #include "isa/assembler.hpp"
+#include "multicore/multicore.hpp"
+#include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "workload/kernels.hpp"
 
@@ -434,6 +439,84 @@ TEST(StallDetection, StallProducesMachineStateDigest) {
   EXPECT_NE(digest.find("ruu"), std::string::npos) << digest;
   EXPECT_NE(digest.find("queue"), std::string::npos) << digest;
   EXPECT_NE(digest.find("alloc"), std::string::npos) << digest;
+}
+
+// One stop contract on every entry path: a stalling program must stop as
+// kStalled at the same cycle, with the same digest, whether run() is
+// called once or in windows, and whether the core runs alone or as the
+// only core of a MultiCoreSim.
+struct StallCase {
+  std::string name;
+  Program program;
+  MachineConfig config;
+  PolicySpec policy;
+};
+
+struct StopPoint {
+  RunOutcome outcome = RunOutcome::kMaxCycles;
+  std::uint64_t cycle = 0;
+  std::string message;
+};
+
+constexpr std::uint64_t kStallBudget = 300'000;
+
+StopPoint run_in_windows(const StallCase& c, std::uint64_t window) {
+  auto cpu = make_processor(c.program, c.config, c.policy);
+  RunOutcome outcome = RunOutcome::kMaxCycles;
+  while (outcome == RunOutcome::kMaxCycles &&
+         cpu->stats().cycles < kStallBudget) {
+    outcome =
+        cpu->run(std::min(kStallBudget, cpu->stats().cycles + window));
+  }
+  return {outcome, cpu->stats().cycles, cpu->fault_message()};
+}
+
+StopPoint run_one_core_multicore(const StallCase& c, std::uint64_t window) {
+  MultiCoreParams params;
+  params.machine = c.config;
+  MultiCoreSim sim({CoreSpec{c.program, c.policy}}, params);
+  while (!sim.done() && sim.cycles() < kStallBudget) {
+    sim.run(std::min(kStallBudget, sim.cycles() + window));
+  }
+  return {sim.core_outcome(0), sim.core(0).stats().cycles,
+          sim.core(0).fault_message()};
+}
+
+TEST(StallDetection, EveryEntryPathStopsAtTheSameCycleWithTheSameDigest) {
+  MachineConfig starved;
+  starved.steering.ffu[fu_index(FuType::kFpMdu)] = 0;
+  const std::vector<StallCase> cases = {
+      {"no_halt", assemble("  addi r1, r0, 1\n  addi r2, r1, 2\n"),
+       MachineConfig{}, PolicySpec{}},
+      {"fp_mdu_starved", assemble("  fmul f1, f2, f3\n  halt\n"), starved,
+       {.kind = PolicyKind::kStaticFfu}},
+  };
+  for (const StallCase& c : cases) {
+    const StopPoint once = run_in_windows(c, kStallBudget);
+    ASSERT_EQ(outcome_name(once.outcome), "stalled") << c.name;
+    ASSERT_FALSE(once.message.empty()) << c.name;
+    EXPECT_LT(once.cycle, kStallBudget) << c.name;
+    if (c.name == "no_halt") {
+      EXPECT_EQ(once.message.rfind("stalled: no retirement for 100000 "
+                                   "cycles at cycle 100006",
+                                   0),
+                0u)
+          << once.message;
+    }
+    const std::vector<std::pair<std::string, StopPoint>> paths = {
+        {"run() in 1-cycle windows", run_in_windows(c, 1)},
+        {"run() in 4096-cycle windows", run_in_windows(c, 4096)},
+        {"one-core MultiCoreSim", run_one_core_multicore(c, kStallBudget)},
+        {"one-core MultiCoreSim in 4096-cycle windows",
+         run_one_core_multicore(c, 4096)},
+    };
+    for (const auto& [path, stop] : paths) {
+      EXPECT_EQ(outcome_name(stop.outcome), "stalled")
+          << c.name << ", " << path;
+      EXPECT_EQ(stop.cycle, once.cycle) << c.name << ", " << path;
+      EXPECT_EQ(stop.message, once.message) << c.name << ", " << path;
+    }
+  }
 }
 
 }  // namespace

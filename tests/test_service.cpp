@@ -643,6 +643,70 @@ TEST(SimService, OverBudgetJobIsRejectedWithDeadline) {
   ASSERT_EQ(reply.type, ReplyType::kError);
   EXPECT_EQ(reply.code, error_code::kDeadline);
   EXPECT_EQ(service.stats().deadline_exceeded, 1u);
+
+  // Multi-core jobs share the same budget branch.
+  Request multi = submit_multi({kernel_entry("fib"), kernel_entry("saxpy")});
+  multi.max_cycles = 200;
+  const Reply multi_reply = service.handle(multi);
+  ASSERT_EQ(multi_reply.type, ReplyType::kError);
+  EXPECT_EQ(multi_reply.code, error_code::kDeadline) << multi_reply.message;
+  EXPECT_FALSE(multi_reply.retriable);
+  EXPECT_EQ(service.stats().deadline_exceeded, 2u);
+}
+
+TEST(SimService, StallingJobIsASimFaultWithTheDigestNotADeadline) {
+  // No halt: after two instructions nothing ever retires again. The
+  // worker's cancellation windows must not reset the stall detector, so
+  // the job stops at the stall limit with the machine-state digest long
+  // before its budget runs out.
+  SimService service({.workers = 1, .queue_capacity = 4});
+  Request request;
+  request.type = RequestType::kSubmit;
+  request.asm_source = "  addi r1, r0, 1\n  addi r2, r1, 2\n";
+  request.max_cycles = 300'000;
+  const Reply reply = service.handle(request);
+  ASSERT_EQ(reply.type, ReplyType::kError);
+  EXPECT_EQ(reply.code, error_code::kSimFault) << reply.message;
+  EXPECT_FALSE(reply.retriable);
+  EXPECT_EQ(reply.message.rfind(
+                "stalled: no retirement for 100000 cycles at cycle 100006", 0),
+            0u)
+      << reply.message;
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.sim_faults, 1u);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+}
+
+TEST(SimService, CacheKeysMatchThePinnedDigests) {
+  // Every cached result is keyed on these digests: a change to how a
+  // request resolves to program bytes, or to the effective-config
+  // rendering, would silently orphan the whole cache. Request fields not
+  // set here keep their protocol defaults.
+  SimService service({.workers = 1, .queue_capacity = 4});
+  Request asm_job;
+  asm_job.type = RequestType::kSubmit;
+  asm_job.asm_source = "  addi r1, r0, 7\n  halt\n";
+  Request multi = submit_multi({kernel_entry("fib"),
+                                kernel_entry("saxpy", "greedy"),
+                                elf_entry("rv32_int")},
+                               "prop-share");
+  multi.max_cycles = 0;
+  Request tuned = submit_kernel("saxpy");
+  tuned.policy = "oracle";
+  tuned.config = {{"fetch_width", 8.0}};
+  tuned.max_cycles = 123456;
+  const std::vector<std::pair<Request, std::string>> pinned = {
+      {submit_kernel("fib"), "6de84f50c6a075fd"},
+      {asm_job, "dc6ab02b0ffb4240"},
+      {submit_elf("rv32_int"), "594a17742db5f29d"},
+      {multi, "463583de3479f452"},
+      {tuned, "9b1f9722bcb2a325"},
+  };
+  for (const auto& [request, digest] : pinned) {
+    const Reply reply = service.handle(request);
+    ASSERT_EQ(reply.type, ReplyType::kResult) << reply.message;
+    EXPECT_EQ(reply.digest, digest) << request.to_json();
+  }
 }
 
 TEST(SimService, FloodedQueueAnswersQueueFullNotAHangOrDrop) {
