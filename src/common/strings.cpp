@@ -83,7 +83,16 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 }
 
 void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
+  // Each maximal run of plain characters goes out in one append; only the
+  // characters that need an escape are handled one by one.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c != '"' && c != '\\' && c >= 0x20) {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -100,17 +109,15 @@ void append_json_escaped(std::string& out, std::string_view text) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
 }
 
 std::string json_number(double value) {

@@ -59,23 +59,6 @@ bool name_clean(std::string_view text) {
   return true;
 }
 
-// append_json_escaped walks character by character; event names almost
-// never need escaping, so bulk-append the clean prefix first.
-void append_escaped(std::string& out, std::string_view text) {
-  std::size_t clean = 0;
-  while (clean < text.size()) {
-    const unsigned char c = static_cast<unsigned char>(text[clean]);
-    if (c == '"' || c == '\\' || c < 0x20) {
-      break;
-    }
-    ++clean;
-  }
-  out.append(text.data(), clean);
-  if (clean < text.size()) {
-    append_json_escaped(out, text.substr(clean));
-  }
-}
-
 }  // namespace
 
 std::string_view trace_cat::name(std::uint32_t category) {
@@ -556,7 +539,7 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
     out += R"(,"tid":)"sv;
     append_u64(out, rec.lane);
     out += R"(,"args":{"name":")"sv;
-    append_escaped(out, pool_[rec.name_index]);
+    append_json_escaped(out, pool_[rec.name_index]);
     out += "\"}}"sv;
     // Sort-index metadata keeps lanes in our numeric order in the viewer.
     begin_event(out);
@@ -572,7 +555,7 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
   if (rec.shape == Shape::kCounter) {
     begin_event(out);
     out += R"({"name":")"sv;
-    append_escaped(out, pool_[rec.name_index]);
+    append_json_escaped(out, pool_[rec.name_index]);
     out += R"(","cat":"counter","ph":"C","ts":)"sv;
     append_u64(out, rec.ts);
     out += pid_frag_;
@@ -587,7 +570,7 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
   switch (rec.shape) {
     case Shape::kInstantBody:
     case Shape::kCompleteBody:
-      append_escaped(out, pool_[rec.name_index]);
+      append_json_escaped(out, pool_[rec.name_index]);
       break;
     case Shape::kFetch:
       out += "fetch"sv;
@@ -599,7 +582,7 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
       out += "skip"sv;
       break;
     default:
-      append_escaped(out, rec.name);
+      append_json_escaped(out, rec.name);
       break;
   }
   out += R"(","cat":")"sv;
@@ -655,7 +638,7 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
       out += R"(,"streak":)"sv;
       append_u64(out, rec.dur);
       out += R"(,"intent":")"sv;
-      append_escaped(out, rec.name);
+      append_json_escaped(out, rec.name);
       out += "\"}"sv;
       break;
     case Shape::kSkip:

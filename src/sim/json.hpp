@@ -224,7 +224,14 @@ class JsonParser {
       return false;
     }
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
+      // Each maximal run of plain characters goes out in one append.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
+      }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (pos_ < text_.size() && text_[pos_] == '\\') {
         ++pos_;
         if (pos_ >= text_.size()) {
           return false;
@@ -263,8 +270,6 @@ class JsonParser {
             return false;
         }
         ++pos_;
-      } else {
-        out += text_[pos_++];
       }
     }
     return consume('"');

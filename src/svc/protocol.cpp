@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "common/strings.hpp"
 #include "sim/json.hpp"
@@ -117,6 +118,32 @@ bool read_bool(const JsonValue& object, const std::string& key, bool fallback,
     return fallback;
   }
   return field->boolean;
+}
+
+/// The keys each reply type may carry: exactly the ones to_json() can
+/// write. A reply is parsed strictly against them, because a bit flip in
+/// a key name leaves a well-formed frame whose field would silently read
+/// as its default (a flipped "retriable" turns a retriable error final).
+std::span<const std::string_view> reply_keys(ReplyType type) {
+  static constexpr std::string_view kResult[] = {
+      "type",    "id",     "cache",   "digest", "policy",
+      "outcome", "cycles", "retired", "metrics"};
+  static constexpr std::string_view kError[] = {"type", "id", "code",
+                                                "retriable", "message"};
+  static constexpr std::string_view kStats[] = {"type", "id", "metrics"};
+  static constexpr std::string_view kBare[] = {"type", "id"};
+  switch (type) {
+    case ReplyType::kResult:
+      return kResult;
+    case ReplyType::kError:
+      return kError;
+    case ReplyType::kStats:
+      return kStats;
+    case ReplyType::kPong:
+    case ReplyType::kGoodbye:
+      break;
+  }
+  return kBare;
 }
 
 }  // namespace
@@ -372,6 +399,17 @@ bool Reply::parse(std::string_view text, Reply& out, std::string& error) {
   } else {
     error = type.empty() ? "missing reply 'type'"
                          : "unknown reply type '" + type + "'";
+    return false;
+  }
+  const std::span<const std::string_view> keys = reply_keys(parsed.type);
+  for (const auto& [key, value] : doc.object) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      error = "unexpected key '" + key + "' in a " + type + " reply";
+      return false;
+    }
+  }
+  if (parsed.type == ReplyType::kError && doc.get("retriable") == nullptr) {
+    error = "error reply without 'retriable'";
     return false;
   }
   parsed.id = read_string(doc, "id", "", ok, error);

@@ -160,6 +160,10 @@ struct Reply {
   std::string stats_json;
 
   std::string to_json() const;
+  /// Strict parse of one frame. Unlike a request, a reply may carry only
+  /// the keys to_json() writes for its type, and an error reply must
+  /// carry `retriable`: a frame a bit flip damaged fails here instead of
+  /// parsing with a field reset to its default.
   static bool parse(std::string_view text, Reply& out, std::string& error);
 
   bool operator==(const Reply&) const = default;

@@ -113,7 +113,7 @@ std::string effective_config_key(const MachineConfig& machine,
   return key;
 }
 
-const Kernel* find_kernel(const std::string& name) {
+const Kernel* find_kernel(std::string_view name) {
   for (const Kernel& kernel : kernel_library()) {
     if (kernel.name == name) {
       return &kernel;
@@ -127,36 +127,59 @@ struct UnknownName : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The one way a submit turns into a Program, for the request itself and
-/// for each `multi` entry: a workload kernel, inline asm or a committed
-/// RV32 ELF fixture (the caller checked that exactly one is named). Mixes
-/// the bytes the job digest covers into `digest`: the asm text for kernel
-/// and asm programs, the raw image for ELF fixtures (identical binaries
-/// share one cache entry whatever name they were submitted under).
-/// Throws UnknownName; assembler, ELF and RV32 errors propagate.
-Program resolve_program(const std::string& kernel,
-                        const std::string& asm_source,
-                        const std::string& elf, Fnv1a& digest) {
+/// A submit's program, found but not yet built: the name it runs under
+/// and the bytes the job digest covers — the asm text of a kernel or
+/// inline asm program, or the image of an ELF fixture.
+struct ProgramSource {
+  std::string name;
+  std::string_view text;  ///< kernel or asm source; empty for ELF
+  std::vector<std::uint8_t> image;  ///< ELF fixture image
+};
+
+/// Resolve, the first of the two steps from a submit to a Program, for
+/// the request itself and for each `multi` entry: finds the workload
+/// kernel, inline asm or committed RV32 ELF fixture (the caller checked
+/// that exactly one is named) and mixes its bytes into `digest`. ELF
+/// fixtures digest the raw image, so identical binaries share one cache
+/// entry whatever name they were submitted under. Throws UnknownName.
+/// `text` views the kernel library or `asm_source`.
+ProgramSource resolve_program(std::string_view kernel,
+                              std::string_view asm_source,
+                              std::string_view elf, Fnv1a& digest) {
+  ProgramSource source;
   if (!kernel.empty()) {
     const Kernel* found = find_kernel(kernel);
     if (found == nullptr) {
-      throw UnknownName("unknown kernel '" + kernel + "'");
+      throw UnknownName("unknown kernel '" + std::string(kernel) + "'");
     }
-    digest.mix(found->source);
-    return assemble(found->source, found->name);
-  }
-  if (!elf.empty()) {
-    const Rv32Fixture* fixture = rv32_fixture_find(elf);
+    source.name = found->name;
+    source.text = found->source;
+  } else if (!elf.empty()) {
+    const Rv32Fixture* fixture = rv32_fixture_find(std::string(elf));
     if (fixture == nullptr) {
-      throw UnknownName("unknown elf fixture '" + elf + "'");
+      throw UnknownName("unknown elf fixture '" + std::string(elf) + "'");
     }
-    const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
-    digest.mix(std::string_view(reinterpret_cast<const char*>(image.data()),
-                                image.size()));
-    return elf::load_elf_program(image, fixture->name);
+    source.name = fixture->name;
+    source.image = rv32_fixture_elf(*fixture);
+    digest.mix(std::string_view(
+        reinterpret_cast<const char*>(source.image.data()),
+        source.image.size()));
+    return source;
+  } else {
+    source.name = "asm";
+    source.text = asm_source;
   }
-  digest.mix(asm_source);
-  return assemble(asm_source, "asm");
+  digest.mix(source.text);
+  return source;
+}
+
+/// Build, the second step: assembles or loads and translates the source.
+/// Only a cache miss gets here. Assembler, ELF and RV32 errors propagate.
+Program build_program(const ProgramSource& source) {
+  if (!source.image.empty()) {
+    return elf::load_elf_program(source.image, source.name);
+  }
+  return assemble(source.text, source.name);
 }
 
 }  // namespace
@@ -327,10 +350,11 @@ Reply SimService::handle_submit(const Request& request) {
   // the effective config. Multi-core jobs digest every core's program and
   // policy label plus the arbiter.
   Fnv1a digest;
+  std::vector<ProgramSource> sources;
   try {
     if (!is_multi) {
-      job->program = resolve_program(request.kernel, request.asm_source,
-                                     request.elf, digest);
+      sources.push_back(resolve_program(request.kernel, request.asm_source,
+                                        request.elf, digest));
     } else {
       digest.mix("multi");
       for (const MultiEntry& entry : request.multi) {
@@ -344,7 +368,8 @@ Reply SimService::handle_submit(const Request& request) {
           return bad_request(request.id,
                              "unknown policy '" + entry.policy + "'");
         }
-        core.program = resolve_program(entry.kernel, {}, entry.elf, digest);
+        sources.push_back(resolve_program(entry.kernel, {}, entry.elf,
+                                          digest));
         digest.mix(entry.policy);
         job->cores.push_back(std::move(core));
       }
@@ -352,15 +377,6 @@ Reply SimService::handle_submit(const Request& request) {
     }
   } catch (const UnknownName& e) {
     return bad_request(request.id, e.what());
-  } catch (const AssemblyError& e) {
-    return bad_request(request.id,
-                       "assembly failed: " + std::string(e.what()));
-  } catch (const elf::ElfError& e) {
-    return bad_request(request.id,
-                       "elf load failed: " + std::string(e.what()));
-  } catch (const rv32::Rv32Error& e) {
-    return bad_request(request.id, "rv32 translation failed: " +
-                                       std::string(e.what()));
   }
 
   if (!parse_policy(request.policy, job->spec)) {
@@ -407,6 +423,26 @@ Reply SimService::handle_submit(const Request& request) {
     hit->id = request.id;
     hit->cache = "hit";
     return *hit;
+  }
+
+  // A miss builds its programs here, on the connection thread, so a bad
+  // program still answers bad_request before anything is queued.
+  try {
+    if (!is_multi) {
+      job->program = build_program(sources.front());
+    }
+    for (std::size_t k = 0; k < job->cores.size(); ++k) {
+      job->cores[k].program = build_program(sources[k]);
+    }
+  } catch (const AssemblyError& e) {
+    return bad_request(request.id,
+                       "assembly failed: " + std::string(e.what()));
+  } catch (const elf::ElfError& e) {
+    return bad_request(request.id,
+                       "elf load failed: " + std::string(e.what()));
+  } catch (const rv32::Rv32Error& e) {
+    return bad_request(request.id, "rv32 translation failed: " +
+                                       std::string(e.what()));
   }
 
   std::future<Reply> result = job->promise.get_future();

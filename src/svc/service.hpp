@@ -2,13 +2,15 @@
 //
 // SimService::handle() is the whole request/reply contract of steersimd:
 // the Unix-socket server (svc/server.hpp), the in-process throughput bench
-// and the protocol tests all drive the same object. A submit is validated
-// and assembled on the calling (connection) thread, digested (FNV-1a over
-// program bytes + effective config), served from the LRU result cache when
-// possible, and otherwise admitted into the bounded job queue — a full
-// queue is an immediate retriable `queue_full` error, never a block or a
-// drop — where the persistent worker pool simulates it under its cycle
-// budget, checking cooperative cancellation at sampler-window granularity.
+// and the protocol tests all drive the same object. On the calling
+// (connection) thread a submit is validated, digested (FNV-1a over the
+// program's source text or ELF image + effective config) and looked up in
+// the LRU result cache. A hit is answered from there; only a miss
+// assembles or translates its program, then enters the bounded job queue
+// — a full queue is an immediate retriable `queue_full` error, never a
+// block or a drop — where the persistent worker pool simulates it under
+// its cycle budget, checking cooperative cancellation at sampler-window
+// granularity.
 //
 // Service health is exported through the same visit_metrics registry every
 // machine subsystem uses (ServiceStats below; "svc." prefix), so the
@@ -163,7 +165,7 @@ class SimService {
   /// The single-core cache key recipe, exposed for tests: FNV-1a/64 over
   /// the program source bytes and the canonical effective-config
   /// rendering (machine knobs, policy spec, cycle budget). handle_submit
-  /// mixes the same chunks incrementally.
+  /// mixes the same chunks incrementally, before anything is assembled.
   static std::uint64_t job_digest(std::string_view program_source,
                                   const std::string& config_key);
 

@@ -1,15 +1,18 @@
 // JSON layer tests for the canonical-rendering guarantees the service
 // digest and cache depend on: \uXXXX escapes (including surrogate pairs)
 // decode to real UTF-8 and re-render symmetrically, 64-bit integers
-// round-trip digit-identical past 2^53, and number parsing/rendering is
-// locale-independent — flipping the global locale to a comma decimal
-// point must not change a single rendered byte.
+// round-trip digit-identical past 2^53, the run-copying string escaper and
+// scanner stay byte-identical to a per-character oracle on every byte, and
+// number parsing/rendering is locale-independent — flipping the global
+// locale to a comma decimal point must not change a single rendered byte.
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cstdint>
+#include <cstdio>
 #include <locale>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/json.hpp"
@@ -59,6 +62,97 @@ TEST(JsonUnicode, RenderEscapesSymmetrically) {
   EXPECT_NE(rendered.find("\xe2\x82\xac"), std::string::npos);
   // And the round trip is exact.
   EXPECT_EQ(parsed(rendered).string, doc.string);
+}
+
+// --- Codec byte identity ---------------------------------------------------
+
+/// The escaper one character at a time: the reference the run-copying
+/// append_json_escaped must match byte for byte.
+std::string escaped_per_character(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// Every byte 0x00-0xFF alone, twice in a row, and at the start, middle
+/// and end of long plain runs, plus all 256 bytes in one string.
+std::vector<std::string> codec_cases() {
+  const std::string run(300, 'm');
+  std::vector<std::string> cases;
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    cases.push_back(one);
+    cases.push_back(one + one);
+    cases.push_back(one + run);
+    cases.push_back(run + one + run);
+    cases.push_back(run + one);
+    every_byte += one;
+  }
+  cases.push_back(every_byte);
+  cases.push_back(run);
+  cases.push_back("");
+  return cases;
+}
+
+TEST(JsonCodec, EscaperMatchesThePerCharacterOracleOnEveryByte) {
+  for (const std::string& text : codec_cases()) {
+    std::string out = "prefix:";
+    append_json_escaped(out, text);
+    EXPECT_EQ(out, "prefix:" + escaped_per_character(text))
+        << "input of " << text.size() << " bytes";
+  }
+}
+
+TEST(JsonCodec, EveryByteRoundTripsThroughRenderAndStrictParse) {
+  for (const std::string& text : codec_cases()) {
+    JsonValue doc;
+    doc.kind = JsonValue::Kind::kString;
+    doc.string = text;
+    JsonValue back;
+    ASSERT_TRUE(parse_json_strict(render_json(doc), back))
+        << render_json(doc);
+    ASSERT_EQ(back.kind, JsonValue::Kind::kString);
+    EXPECT_EQ(back.string, text) << "input of " << text.size() << " bytes";
+  }
+}
+
+TEST(JsonCodec, ParserDecodesEscapesBetweenLongRuns) {
+  const std::string run(100, 'r');
+  const std::string wire = "\"" + run + "\\n" + run + "\\/\\b\\f" + run +
+                           "\\u0041\\\"" + run + "\\\\\"";
+  EXPECT_EQ(parsed(wire).string,
+            run + "\n" + run + "/\b\f" + run + "A\"" + run + "\\");
+  EXPECT_FALSE(parses("\"" + run));             // unterminated run
+  EXPECT_FALSE(parses("\"" + run + "\\"));      // dangling backslash
+  EXPECT_FALSE(parses("\"" + run + "\\x\""));   // unknown escape
 }
 
 TEST(JsonIntegers, U64RoundTripsDigitIdenticalPast2p53) {

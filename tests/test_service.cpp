@@ -197,6 +197,58 @@ TEST(Protocol, ErrorReplyRoundTripsWithRetriableBit) {
   EXPECT_EQ(parsed_reply(fatal), fatal);
 }
 
+TEST(Protocol, EveryBitFlipOfARetriableErrorFailsToParseOrStaysRetriable) {
+  // A corrupted frame must never parse as a final answer. Each single-bit
+  // mutant of the crash handler's reply either fails to parse (the client
+  // reconnects and resubmits) or still says retriable.
+  for (const std::string id : {"", "job-7"}) {
+    const std::string frame =
+        Reply::error(id, error_code::kWorkerCrashed,
+                     "worker crashed while running this job; resubmit",
+                     /*retriable=*/true)
+            .to_json();
+    int parsed = 0;
+    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutant = frame;
+        mutant[byte] = static_cast<char>(mutant[byte] ^ (1 << bit));
+        Reply reply;
+        std::string error;
+        if (Reply::parse(mutant, reply, error)) {
+          ++parsed;
+          EXPECT_TRUE(reply.retriable) << mutant;
+        }
+      }
+    }
+    EXPECT_GT(parsed, 0) << "flips inside string values still parse";
+  }
+}
+
+TEST(Protocol, ReplyParseAcceptsOnlyTheKeysToJsonWrites) {
+  Reply reply;
+  std::string error;
+  EXPECT_TRUE(Reply::parse(
+      R"({"type":"error","code":"queue_full","retriable":false})", reply,
+      error))
+      << error;
+  EXPECT_FALSE(Reply::parse(
+      R"({"type":"error","code":"worker_crashed","retriablE":true})", reply,
+      error));
+  EXPECT_FALSE(Reply::parse(R"({"type":"error","code":"queue_full"})", reply,
+                            error))
+      << "to_json always writes 'retriable' on an error";
+  EXPECT_FALSE(Reply::parse(R"({"type":"pong","cycles":1})", reply, error))
+      << "a result key in a pong";
+  EXPECT_FALSE(
+      Reply::parse(R"({"type":"result","code":"x"})", reply, error))
+      << "an error key in a result";
+  // Requests stay lenient: unknown keys are skipped.
+  Request request;
+  EXPECT_TRUE(Request::parse(R"({"type":"ping","future_key":1})", request,
+                             error))
+      << error;
+}
+
 TEST(Protocol, ConcatenatedFramesAreRejected) {
   // The strict framing the protocol relies on: two objects on one line can
   // never be read as one message.
@@ -438,33 +490,40 @@ Request submit_kernel(std::string kernel, std::string id = "") {
 }
 
 TEST(SimService, ReplayedSubmitHitsCacheWithByteIdenticalMetrics) {
-  SimService service({.workers = 2, .queue_capacity = 8});
-  const Request request = submit_kernel("fib", "job-1");
+  // A named kernel and an inline asm program: both digest their source
+  // text, and only the cold run assembles.
+  Request asm_request;
+  asm_request.type = RequestType::kSubmit;
+  asm_request.id = "asm-job";
+  asm_request.asm_source = "  addi r1, r0, 5\n  add r2, r1, r1\n  halt\n";
+  for (const Request& request : {submit_kernel("fib", "job-1"), asm_request}) {
+    SimService service({.workers = 2, .queue_capacity = 8});
 
-  const Reply cold = service.handle(request);
-  ASSERT_EQ(cold.type, ReplyType::kResult) << cold.message;
-  EXPECT_EQ(cold.cache, "miss");
-  EXPECT_EQ(cold.outcome, "halted");
-  EXPECT_GT(cold.cycles, 0u);
-  EXPECT_FALSE(cold.metrics_json.empty());
-  EXPECT_EQ(cold.digest.size(), 16u);
+    const Reply cold = service.handle(request);
+    ASSERT_EQ(cold.type, ReplyType::kResult) << cold.message;
+    EXPECT_EQ(cold.cache, "miss");
+    EXPECT_EQ(cold.outcome, "halted");
+    EXPECT_GT(cold.cycles, 0u);
+    EXPECT_FALSE(cold.metrics_json.empty());
+    EXPECT_EQ(cold.digest.size(), 16u);
 
-  const Reply hit = service.handle(request);
-  ASSERT_EQ(hit.type, ReplyType::kResult) << hit.message;
-  EXPECT_EQ(hit.cache, "hit");
+    const Reply hit = service.handle(request);
+    ASSERT_EQ(hit.type, ReplyType::kResult) << hit.message;
+    EXPECT_EQ(hit.cache, "hit");
 
-  // Identical simulated metrics: the hit differs from the cold run only in
-  // the cache flag — restoring it makes the replies bit-identical.
-  Reply normalized = hit;
-  normalized.cache = "miss";
-  EXPECT_EQ(normalized, cold);
-  EXPECT_EQ(normalized.to_json(), cold.to_json());
+    // Identical simulated metrics: the hit differs from the cold run only
+    // in the cache flag — restoring it makes the replies bit-identical.
+    Reply normalized = hit;
+    normalized.cache = "miss";
+    EXPECT_EQ(normalized, cold);
+    EXPECT_EQ(normalized.to_json(), cold.to_json());
 
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.completed, 1u) << "a hit reruns nothing";
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_EQ(stats.cache_misses, 1u);
+    EXPECT_EQ(stats.completed, 1u) << "a hit reruns nothing";
+  }
 }
 
 TEST(SimService, DistinctConfigsGetDistinctDigests) {
@@ -630,6 +689,55 @@ TEST(SimService, BadRequestsAreTypedAndNotRetriable) {
   EXPECT_EQ(service.handle(bad_asm).code, error_code::kBadRequest);
 
   EXPECT_EQ(service.stats().bad_requests, 5u);
+}
+
+TEST(SimService, RequestErrorsAnswerBeforeProgramErrors) {
+  // Only a cache miss builds its program, after every request field is
+  // checked: a malformed program with a bad knob or policy answers the
+  // knob or policy error. An unknown name is still found first.
+  SimService service({.workers = 1, .queue_capacity = 4});
+  Request bad_asm;
+  bad_asm.type = RequestType::kSubmit;
+  bad_asm.asm_source = "frobnicate r1, r2\n";
+
+  Request bad_knob = bad_asm;
+  bad_knob.config = {{"warp_drive", 1.0}};
+  const Reply knob = service.handle(bad_knob);
+  EXPECT_EQ(knob.code, error_code::kBadRequest);
+  EXPECT_EQ(knob.message, "unknown config knob 'warp_drive'");
+
+  Request bad_policy = bad_asm;
+  bad_policy.policy = "clairvoyant";
+  EXPECT_EQ(service.handle(bad_policy).message,
+            "unknown policy 'clairvoyant'");
+
+  Request unknown = submit_kernel("no_such_kernel");
+  unknown.config = {{"warp_drive", 1.0}};
+  EXPECT_EQ(service.handle(unknown).message,
+            "unknown kernel 'no_such_kernel'");
+
+  EXPECT_EQ(service.stats().cache_misses, 0u)
+      << "none of these reached the cache";
+}
+
+TEST(SimService, BadProgramCountsOneBadRequestAndOneCacheMiss) {
+  SimService service({.workers = 1, .queue_capacity = 4});
+  Request bad_asm;
+  bad_asm.type = RequestType::kSubmit;
+  bad_asm.asm_source = "frobnicate r1, r2\n";
+
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    const Reply reply = service.handle(bad_asm);
+    ASSERT_EQ(reply.type, ReplyType::kError);
+    EXPECT_EQ(reply.code, error_code::kBadRequest);
+    EXPECT_EQ(reply.message.rfind("assembly failed: ", 0), 0u)
+        << reply.message;
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.bad_requests, round);
+    EXPECT_EQ(stats.cache_misses, round) << "a bad program is never cached";
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.admitted, 0u);
+  }
 }
 
 TEST(SimService, OverBudgetJobIsRejectedWithDeadline) {
