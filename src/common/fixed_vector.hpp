@@ -3,10 +3,17 @@
 // Pipeline stage buffers (fetch buffer, decode buffer, retire batch) have
 // small compile-time capacities; FixedVector keeps them on the owning
 // structure so per-cycle simulation does no allocation.
+//
+// Storage contract: only the live prefix [0, size()) is ever read. The
+// storage is default-initialized, not value-initialized, so constructing a
+// vector of a trivial type (a per-cycle grant or completion list) does not
+// zero its whole capacity; copies and assignments move only the live
+// prefix, and equality compares only it.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -21,6 +28,30 @@ class FixedVector {
   using const_iterator = const T*;
 
   constexpr FixedVector() = default;
+  constexpr FixedVector(const FixedVector& other) { *this = other; }
+  constexpr FixedVector(FixedVector&& other) noexcept(
+      std::is_nothrow_move_assignable_v<T>) {
+    *this = std::move(other);
+  }
+  constexpr FixedVector& operator=(const FixedVector& other) {
+    if (this != &other) {
+      for (std::size_t i = 0; i < other.size_; ++i) {
+        items_[i] = other.items_[i];
+      }
+      size_ = other.size_;
+    }
+    return *this;
+  }
+  constexpr FixedVector& operator=(FixedVector&& other) noexcept(
+      std::is_nothrow_move_assignable_v<T>) {
+    if (this != &other) {
+      for (std::size_t i = 0; i < other.size_; ++i) {
+        items_[i] = std::move(other.items_[i]);
+      }
+      size_ = other.size_;
+    }
+    return *this;
+  }
 
   constexpr std::size_t size() const { return size_; }
   static constexpr std::size_t capacity() { return Capacity; }
@@ -82,7 +113,9 @@ class FixedVector {
   }
 
  private:
-  std::array<T, Capacity> items_{};
+  /// Default-initialized: slots at or past size_ hold unspecified values
+  /// for trivial T and are never read.
+  std::array<T, Capacity> items_;
   std::size_t size_ = 0;
 };
 

@@ -25,11 +25,6 @@ AllocationVector AllocationVector::place(const FuCounts& counts,
   return alloc;
 }
 
-std::uint8_t AllocationVector::code(unsigned slot) const {
-  STEERSIM_EXPECTS(slot < num_slots());
-  return codes_[slot];
-}
-
 void AllocationVector::set_code(unsigned slot, std::uint8_t code) {
   STEERSIM_EXPECTS(slot < num_slots());
   STEERSIM_EXPECTS(code <= 0b111);
@@ -73,6 +68,20 @@ FixedVector<SlotRegion, kMaxRfuSlots> AllocationVector::regions() const {
     slot += len;
   }
   return out;
+}
+
+unsigned AllocationVector::region_slots() const {
+  unsigned used = 0;
+  bool in_region = false;  // the previous slot is a head or its extension
+  for (const std::uint8_t code : codes_) {
+    if (type_from_encoding(code).has_value()) {
+      in_region = true;
+    } else if (code != kEncContinuation) {
+      in_region = false;
+    }
+    used += in_region ? 1 : 0;
+  }
+  return used;
 }
 
 FuCounts AllocationVector::counts() const {

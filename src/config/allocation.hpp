@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/bitset.hpp"
+#include "common/contracts.hpp"
 #include "common/fixed_vector.hpp"
 #include "config/encoding.hpp"
 
@@ -42,7 +43,10 @@ class AllocationVector {
     return static_cast<unsigned>(codes_.size());
   }
 
-  std::uint8_t code(unsigned slot) const;
+  std::uint8_t code(unsigned slot) const {
+    STEERSIM_EXPECTS(slot < num_slots());
+    return codes_[slot];
+  }
   void set_code(unsigned slot, std::uint8_t code);
 
   /// Writes a whole unit region (head code + continuations).
@@ -53,6 +57,10 @@ class AllocationVector {
   /// Unit instances currently present (head slots with valid type codes,
   /// extended over their continuation slots).
   FixedVector<SlotRegion, kMaxRfuSlots> regions() const;
+
+  /// Slots regions() covers (the sum of its lengths), counted without
+  /// building the list.
+  unsigned region_slots() const;
 
   /// Per-type count of complete unit instances.
   FuCounts counts() const;

@@ -37,10 +37,11 @@ struct EccDecoded {
 
 /// Encodes a 4-bit payload into an 8-bit SECDED codeword.
 constexpr std::uint8_t ecc_encode(std::uint8_t data) {
-  const unsigned d0 = (data >> 0) & 1u;
-  const unsigned d1 = (data >> 1) & 1u;
-  const unsigned d2 = (data >> 2) & 1u;
-  const unsigned d3 = (data >> 3) & 1u;
+  const auto bits = static_cast<unsigned>(data);
+  const unsigned d0 = (bits >> 0) & 1u;
+  const unsigned d1 = (bits >> 1) & 1u;
+  const unsigned d2 = (bits >> 2) & 1u;
+  const unsigned d3 = (bits >> 3) & 1u;
   const unsigned p1 = d0 ^ d1 ^ d3;  // covers positions 3, 5, 7
   const unsigned p2 = d0 ^ d2 ^ d3;  // covers positions 3, 6, 7
   const unsigned p4 = d1 ^ d2 ^ d3;  // covers positions 5, 6, 7

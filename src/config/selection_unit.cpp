@@ -23,20 +23,6 @@ FuCounts encode_requirements(std::span<const Opcode> ready_ops) {
   return counts;
 }
 
-unsigned cem_error_approx(const FuCounts& required,
-                          const FuCounts& available) {
-  unsigned sum = 0;
-  for (unsigned t = 0; t < kNumFuTypes; ++t) {
-    const auto req = static_cast<unsigned>(required[t] & 0b111);
-    const auto avail = static_cast<std::uint8_t>(
-        std::min<unsigned>(available[t], 7));  // 3-bit quantity input
-    sum += req >> cem_shift_amount(avail);
-  }
-  // The paper sizes the adder tree at 3 bits because Σ_t required(t) <= 7
-  // (7-entry queue); the shifted terms can only be smaller.
-  return sum & 0b111;
-}
-
 double cem_error_exact(const FuCounts& required, const FuCounts& available) {
   double sum = 0.0;
   for (unsigned t = 0; t < kNumFuTypes; ++t) {
@@ -54,6 +40,9 @@ ConfigSelectionUnit::ConfigSelectionUnit(SteeringSet set, CemMode mode,
                                          TieBreak tie_break)
     : set_(std::move(set)), mode_(mode), tie_break_(tie_break) {
   STEERSIM_EXPECTS(set_.feasible());
+  for (unsigned p = 0; p < kNumPresetConfigs; ++p) {
+    preset_totals_[p] = set_.preset_total(p);
+  }
 }
 
 SelectionTrace ConfigSelectionUnit::select(
@@ -88,17 +77,12 @@ SelectionTrace ConfigSelectionUnit::select_counts(
   // Stage 3: one CEM generator per candidate. Candidate 0 is the current
   // configuration; candidates 1..3 are the predefined steering configs,
   // evaluated with their full complement (preset + FFUs).
-  std::array<FuCounts, kNumCandidates> candidate_avail;
-  candidate_avail[0] = current_total;
-  for (unsigned p = 0; p < kNumPresetConfigs; ++p) {
-    candidate_avail[p + 1] = set_.preset_total(p);
-  }
   for (unsigned c = 0; c < kNumCandidates; ++c) {
+    const FuCounts& avail = c == 0 ? current_total : preset_totals_[c - 1];
     trace.errors[c] =
         mode_ == CemMode::kShiftApprox
-            ? static_cast<double>(
-                  cem_error_approx(trace.required, candidate_avail[c]))
-            : cem_error_exact(trace.required, candidate_avail[c]);
+            ? static_cast<double>(cem_error_approx(trace.required, avail))
+            : cem_error_exact(trace.required, avail);
   }
 
   // Stage 4: minimal error selection.

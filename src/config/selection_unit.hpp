@@ -17,6 +17,7 @@
 //                             reconfiguration.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <span>
 
@@ -52,7 +53,19 @@ constexpr unsigned cem_shift_amount(std::uint8_t avail) {
 /// Fig. 3b: the shift-approximated error metric for one candidate.
 /// Both inputs are 3-bit quantities per type; the five shifted terms are
 /// summed by the 3-bit adder tree (total <= 7 by the queue bound).
-unsigned cem_error_approx(const FuCounts& required, const FuCounts& available);
+inline unsigned cem_error_approx(const FuCounts& required,
+                                 const FuCounts& available) {
+  unsigned sum = 0;
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    const auto req = static_cast<unsigned>(required[t] & 0b111);
+    const auto avail = static_cast<std::uint8_t>(
+        std::min<unsigned>(available[t], 7));  // 3-bit quantity input
+    sum += req >> cem_shift_amount(avail);
+  }
+  // The paper sizes the adder tree at 3 bits because Σ_t required(t) <= 7
+  // (7-entry queue); the shifted terms can only be smaller.
+  return sum & 0b111;
+}
 
 /// Fig. 3a evaluated exactly (the "more accurate divider" the paper notes
 /// could be used at extra cost). Types with zero availability contribute
@@ -124,6 +137,9 @@ class ConfigSelectionUnit {
   SteeringSet set_;
   CemMode mode_;
   TieBreak tie_break_;
+  /// set_.preset_total(p) for every preset: the CEM inputs of candidates
+  /// 1..3, fixed for the unit's lifetime.
+  std::array<FuCounts, kNumPresetConfigs> preset_totals_{};
 };
 
 }  // namespace steersim

@@ -1,18 +1,39 @@
 #include "core/execution_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/contracts.hpp"
 
 namespace steersim {
+namespace {
+
+constexpr std::uint64_t bit(unsigned i) { return std::uint64_t{1} << i; }
+
+/// The slots [base, base + len).
+SlotMask span_mask(unsigned base, unsigned len) {
+  return SlotMask(((std::uint64_t{1} << len) - 1) << base);
+}
+
+}  // namespace
 
 ExecutionEngine::ExecutionEngine(const FuCounts& ffu, bool pipelined)
     : ffu_(ffu), pipelined_(pipelined) {
+  unsigned first = 0;
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    ffu_first_[t] = first;
+    first += ffu_[t];
+  }
+  STEERSIM_EXPECTS(first <= kMaxFixedUnits);
   begin_cycle(AllocationVector(0));
 }
 
 void ExecutionEngine::begin_cycle(const AllocationVector& rfu_allocation) {
   issued_this_cycle_.clear();
+  if (pipelined_) {
+    blocked_ = 0;  // a new cycle lifts the initiation-interval block
+    blocked_slots_.clear();
+  }
   if (units_cached_ && rfu_allocation == last_allocation_) {
     return;  // unit list is a pure function of the allocation
   }
@@ -30,12 +51,55 @@ void ExecutionEngine::begin_cycle(const AllocationVector& rfu_allocation) {
   }
   last_allocation_ = rfu_allocation;
   units_cached_ = true;
-  configured_cache_ = FuCounts{};
-  for (const auto& unit : units_) {
-    auto& c = configured_cache_[fu_index(unit.type)];
-    if (c < 255) {
-      ++c;
+  type_units_ = {};
+  type_fixed_ = {};
+  unit_count_ = {};
+  rfu_unit_.fill(-1);
+  for (unsigned i = 0; i < units_.size(); ++i) {
+    const UnitInstance& unit = units_[i];
+    const unsigned t = fu_index(unit.type);
+    type_units_[t] |= bit(i);
+    if (unit.fixed) {
+      type_fixed_[t] |= bit(i);
+    } else {
+      rfu_unit_[unit.base] = static_cast<int>(i);
     }
+    ++unit_count_[t];
+  }
+  head_slots_ = {};
+  for (unsigned slot = 0; slot < rfu_allocation.num_slots(); ++slot) {
+    if (const auto type = type_from_encoding(rfu_allocation.code(slot))) {
+      head_slots_[fu_index(*type)].set(slot);
+    }
+  }
+  // Unit positions moved: re-derive which of them are occupied.
+  recount();
+}
+
+std::uint64_t ExecutionEngine::unit_bit(const InFlight& f) const {
+  if (f.fixed) {
+    return bit(ffu_first_[fu_index(f.type)] + f.base);
+  }
+  const int i = rfu_unit_[f.base];
+  return i >= 0 && units_[static_cast<unsigned>(i)].type == f.type
+             ? bit(static_cast<unsigned>(i))
+             : 0;
+}
+
+void ExecutionEngine::recount() {
+  inflight_slots_.clear();
+  inflight_count_ = {};
+  std::uint64_t in_flight_units = 0;
+  for (const auto& f : in_flight_) {
+    ++inflight_count_[fu_index(f.type)];
+    if (!f.fixed) {
+      inflight_slots_ |= span_mask(f.base, slot_cost(f.type));
+    }
+    in_flight_units |= unit_bit(f);
+  }
+  if (!pipelined_) {
+    blocked_ = in_flight_units;
+    blocked_slots_ = inflight_slots_;
   }
 }
 
@@ -111,51 +175,18 @@ std::array<unsigned, kNumFuTypes> ExecutionEngine::free_units() const {
   return free;
 }
 
-FuCounts ExecutionEngine::configured_units() const {
-  return configured_cache_;
-}
+FuCounts ExecutionEngine::configured_units() const { return unit_count_; }
 
 ExecutionEngine::IssueView ExecutionEngine::issue_view() const {
   IssueView view;
-  // One pass over the occupancy list: per-type busy fixed-unit counts
-  // (assign never double-books a unit, so each record is a distinct unit)
-  // and the slot spans busy RFU units drive low.
-  std::array<unsigned, kNumFuTypes> busy_ffu{};
-  SlotMask busy_spans;
-  const auto& occupying = pipelined_ ? issued_this_cycle_ : in_flight_;
-  for (const auto& f : occupying) {
-    if (f.fixed) {
-      ++busy_ffu[fu_index(f.type)];
-    } else {
-      const unsigned len = slot_cost(f.type);
-      for (unsigned i = 0; i < len; ++i) {
-        busy_spans.set(f.base + i);
-      }
-    }
-  }
   for (unsigned t = 0; t < kNumFuTypes; ++t) {
-    view.free[t] = ffu_[t] - busy_ffu[t];
-    view.available[t] = view.free[t] > 0;
-  }
-  // RFU availability reads the per-slot head codes (resource_vector
-  // semantics: a transiently truncated head still drives its type's
-  // availability line); free counts come from the complete-unit list.
-  for (unsigned slot = 0; slot < last_allocation_.num_slots(); ++slot) {
-    const auto type = type_from_encoding(last_allocation_.code(slot));
-    if (type.has_value() && !busy_spans.test(slot)) {
-      view.available[fu_index(*type)] = true;
-    }
-  }
-  for (const auto& unit : units_) {
-    if (unit.fixed) {
-      continue;
-    }
-    const bool busy = std::ranges::any_of(occupying, [&unit](const InFlight& f) {
-      return !f.fixed && f.base == unit.base && f.type == unit.type;
-    });
-    if (!busy) {
-      ++view.free[fu_index(unit.type)];
-    }
+    const std::uint64_t idle = type_units_[t] & ~blocked_;
+    view.free[t] = static_cast<unsigned>(std::popcount(idle));
+    // Eq. 1: an idle fixed unit, or a head slot outside every blocked
+    // span (resource_vector semantics: a transiently truncated head still
+    // drives its type's availability line).
+    view.available[t] = (idle & type_fixed_[t]) != 0 ||
+                        (head_slots_[t] & ~blocked_slots_).any();
   }
   return view;
 }
@@ -164,24 +195,26 @@ bool ExecutionEngine::assign(FuType t, unsigned latency,
                              unsigned wakeup_row) {
   STEERSIM_EXPECTS(latency >= 1);
   // Prefer fixed units so RFU slots stay reconfigurable as long as
-  // possible; among RFUs pick the lowest base.
-  const UnitInstance* chosen = nullptr;
-  for (const auto& unit : units_) {
-    if (unit.type != t || unit_busy(unit)) {
-      continue;
-    }
-    if (chosen == nullptr || (unit.fixed && !chosen->fixed)) {
-      chosen = &unit;
-    }
-  }
-  if (chosen == nullptr) {
+  // possible; among RFUs pick the lowest base. units_ lists the FFUs first
+  // and then the RFUs by base, so that is the lowest idle position.
+  const std::uint64_t idle = type_units_[fu_index(t)] & ~blocked_;
+  if (idle == 0) {
     return false;
   }
-  const InFlight record{chosen->type, chosen->fixed, chosen->base, latency,
+  const auto index = static_cast<unsigned>(std::countr_zero(idle));
+  const UnitInstance& unit = units_[index];
+  const InFlight record{unit.type, unit.fixed, unit.base, latency,
                         wakeup_row};
   in_flight_.push_back(record);
   if (pipelined_) {
     issued_this_cycle_.push_back(record);
+  }
+  blocked_ |= bit(index);
+  ++inflight_count_[fu_index(t)];
+  if (!unit.fixed) {
+    const SlotMask span = span_mask(unit.base, unit.len);
+    inflight_slots_ |= span;
+    blocked_slots_ |= span;
   }
   ++stats_.issues;
   ++stats_.issues_by_type[fu_index(t)];
@@ -199,6 +232,9 @@ FixedVector<unsigned, kMaxWakeupEntries> ExecutionEngine::step() {
       ++it;
     }
   }
+  if (!completed.empty()) {
+    recount();
+  }
   return completed;
 }
 
@@ -209,6 +245,7 @@ void ExecutionEngine::cancel(unsigned wakeup_row) {
   if (it != in_flight_.end()) {
     in_flight_.erase(it);
     ++stats_.cancels;
+    recount();
   }
 }
 
@@ -224,28 +261,16 @@ FixedVector<unsigned, kMaxWakeupEntries> ExecutionEngine::kill_slot(
       ++it;
     }
   }
+  if (!killed.empty()) {
+    recount();
+  }
   return killed;
 }
 
-SlotMask ExecutionEngine::slot_busy() const {
-  SlotMask mask;
-  for (const auto& f : in_flight_) {
-    if (!f.fixed) {
-      const unsigned len = slot_cost(f.type);
-      for (unsigned i = 0; i < len; ++i) {
-        mask.set(f.base + i);
-      }
-    }
-  }
-  return mask;
-}
-
 void ExecutionEngine::note_utilization() {
-  for (const auto& unit : units_) {
-    ++stats_.configured_unit_cycles[fu_index(unit.type)];
-  }
-  for (const auto& f : in_flight_) {
-    ++stats_.busy_unit_cycles[fu_index(f.type)];
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    stats_.configured_unit_cycles[t] += unit_count_[t];
+    stats_.busy_unit_cycles[t] += inflight_count_[t];
   }
 }
 
@@ -267,11 +292,9 @@ void ExecutionEngine::fast_forward(std::uint64_t cycles) {
     STEERSIM_EXPECTS(f.remaining > cycles);
     f.remaining -= static_cast<unsigned>(cycles);
   }
-  for (const auto& unit : units_) {
-    stats_.configured_unit_cycles[fu_index(unit.type)] += cycles;
-  }
-  for (const auto& f : in_flight_) {
-    stats_.busy_unit_cycles[fu_index(f.type)] += cycles;
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    stats_.configured_unit_cycles[t] += cycles * unit_count_[t];
+    stats_.busy_unit_cycles[t] += cycles * inflight_count_[t];
   }
 }
 

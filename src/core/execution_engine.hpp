@@ -7,6 +7,15 @@
 // cycle. Units are non-pipelined: a unit is busy for the instruction's
 // full latency (this is what makes multi-cycle RFU occupancy interact with
 // reconfiguration, the paper's central subtlety).
+//
+// Occupancy is kept as bit masks beside the unit list (DESIGN.md
+// §Execution-engine occupancy masks): per-type masks of unit positions,
+// rebuilt only when the allocation changes, and a mask of the units that
+// cannot accept an issue, updated by assign() and recomputed from the
+// in-flight list whenever an operation leaves it. The per-cycle queries
+// (issue_view, slot_busy, note_utilization) are then popcounts and mask
+// tests; resource_vector(), availability() and free_units() keep the
+// list-scanning definitions they are checked against.
 #pragma once
 
 #include <array>
@@ -56,11 +65,16 @@ struct EngineStats {
 
 class ExecutionEngine {
  public:
+  /// Unit instances an engine can hold (one bit each in the occupancy
+  /// masks): every RFU slot as a one-slot unit plus this many FFUs.
+  static constexpr unsigned kMaxFixedUnits = 64 - kMaxRfuSlots;
+
   /// `pipelined`: units accept a new operation every cycle (initiation
   /// interval 1) while earlier operations drain — an ablation of the
   /// paper's non-pipelined model. Slots still count as busy for the
   /// configuration loader while any operation is in flight (a unit cannot
-  /// be rewritten mid-operation either way).
+  /// be rewritten mid-operation either way). Expects at most
+  /// kMaxFixedUnits FFUs in total.
   explicit ExecutionEngine(const FuCounts& ffu, bool pipelined = false);
 
   /// Refreshes the unit view from the loader's current allocation. Call
@@ -70,11 +84,11 @@ class ExecutionEngine {
   /// rebuild (the common case between reconfigurations).
   void begin_cycle(const AllocationVector& rfu_allocation);
 
-  /// The per-cycle issue inputs, computed in one pass over the occupancy
-  /// list: Eq. 1 availability lines plus idle-unit counts per type.
-  /// Bit-identical to availability() + free_units() for the allocation
-  /// passed to the latest begin_cycle() (incomplete head slots count
-  /// toward availability exactly as resource_vector() counts them).
+  /// The per-cycle issue inputs from the occupancy masks: Eq. 1
+  /// availability lines plus idle-unit counts per type. Bit-identical to
+  /// availability() + free_units() for the allocation passed to the latest
+  /// begin_cycle() (incomplete head slots count toward availability
+  /// exactly as resource_vector() counts them).
   struct IssueView {
     ResourceAvail available{};
     std::array<unsigned, kNumFuTypes> free{};
@@ -96,8 +110,9 @@ class ExecutionEngine {
   /// equal to loader counts + FFU counts).
   FuCounts configured_units() const;
 
-  /// Starts `wakeup_row` on an idle unit of type `t` for `latency` cycles.
-  /// Returns false if no idle unit exists (caller should not have granted).
+  /// Starts `wakeup_row` on an idle unit of type `t` for `latency` cycles:
+  /// the first idle FFU, else the idle RFU with the lowest base. Returns
+  /// false if no idle unit exists (caller should not have granted).
   bool assign(FuType t, unsigned latency, unsigned wakeup_row);
 
   /// Advances one cycle; returns the wake-up rows whose execution finished.
@@ -113,7 +128,7 @@ class ExecutionEngine {
   FixedVector<unsigned, kMaxWakeupEntries> kill_slot(unsigned slot);
 
   /// Slots occupied by busy RFU units (input to the configuration loader).
-  SlotMask slot_busy() const;
+  SlotMask slot_busy() const { return inflight_slots_; }
 
   /// Accumulates per-cycle utilization statistics; call once per cycle.
   void note_utilization();
@@ -144,6 +159,12 @@ class ExecutionEngine {
   };
 
   bool unit_busy(const UnitInstance& unit) const;
+  /// Occupancy-mask bit of the unit `f` runs on (0 if no unit of units_
+  /// has its identity).
+  std::uint64_t unit_bit(const InFlight& f) const;
+  /// Recomputes the in-flight masks and counts (and, unpipelined, the
+  /// blocked masks) from in_flight_.
+  void recount();
 
   FuCounts ffu_;
   bool pipelined_;
@@ -151,13 +172,32 @@ class ExecutionEngine {
   /// begin_cycle() rebuild cache: the allocation units_ was built from.
   AllocationVector last_allocation_;
   bool units_cached_ = false;
-  /// configured_units() of the cached unit list.
-  FuCounts configured_cache_{};
   std::vector<InFlight> in_flight_;
   /// Pipelined mode: units that accepted an operation this cycle (the
   /// initiation-interval constraint).
   std::vector<InFlight> issued_this_cycle_;
   EngineStats stats_;
+
+  // Per-allocation masks, rebuilt with units_ (bit i = units_[i]).
+  std::array<std::uint64_t, kNumFuTypes> type_units_{};
+  std::array<std::uint64_t, kNumFuTypes> type_fixed_{};
+  /// Slots holding a head code per type, truncated heads included.
+  std::array<SlotMask, kNumFuTypes> head_slots_{};
+  /// units_ position of each type's first FFU, and of the RFU unit based
+  /// at each slot (-1 where no complete unit starts).
+  std::array<unsigned, kNumFuTypes> ffu_first_{};
+  std::array<int, kMaxRfuSlots> rfu_unit_{};
+  /// Units per type (at most 64 in all, so FuCounts holds them).
+  FuCounts unit_count_{};
+
+  // Occupancy, updated by assign() and recount().
+  /// Units that cannot accept an issue this cycle (in flight; pipelined:
+  /// issued this cycle), and the slots under those units' operations.
+  std::uint64_t blocked_ = 0;
+  SlotMask blocked_slots_;
+  /// Slots under any in-flight operation, and in-flight ops per type.
+  SlotMask inflight_slots_;
+  std::array<unsigned, kNumFuTypes> inflight_count_{};
 };
 
 }  // namespace steersim

@@ -66,6 +66,12 @@ const MachineConfig& Processor::validated(const MachineConfig& config) {
            " != steering.num_slots " +
            std::to_string(config.steering.num_slots));
   }
+  if (fu_counts_total(config.steering.ffu) >
+      ExecutionEngine::kMaxFixedUnits) {
+    reject("steering.ffu total " +
+           std::to_string(fu_counts_total(config.steering.ffu)) +
+           " exceeds " + std::to_string(ExecutionEngine::kMaxFixedUnits));
+  }
   if (config.loader.cycles_per_slot < 1) {
     reject("loader.cycles_per_slot must be at least 1");
   }
@@ -326,18 +332,18 @@ void Processor::stage_faults() {
 }
 
 void Processor::stage_complete() {
-  const auto completed_rows = engine_.step();
-  // Snapshot (row, tag) pairs before any squash can recycle a row, then
-  // resolve oldest-first so an older mispredict squashes younger
-  // completions before they act.
-  FixedVector<std::pair<unsigned, std::uint64_t>, kMaxWakeupEntries>
-      completed;
-  for (const unsigned row : completed_rows) {
-    completed.push_back({row, wakeup_.entry(row).tag});
+  // Snapshot each completion's (tag, row) before any squash can recycle a
+  // row, packed as tag * kMaxWakeupEntries + row so one integer sort
+  // resolves them oldest-first (tags are distinct RUU ids): an older
+  // mispredict squashes younger completions before they act.
+  FixedVector<std::uint64_t, kMaxWakeupEntries> completed;
+  for (const unsigned row : engine_.step()) {
+    completed.push_back(wakeup_.entry(row).tag * kMaxWakeupEntries + row);
   }
-  std::sort(completed.begin(), completed.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  for (const auto& [row, tag] : completed) {
+  std::sort(completed.begin(), completed.end());
+  for (const std::uint64_t packed : completed) {
+    const auto row = static_cast<unsigned>(packed % kMaxWakeupEntries);
+    const std::uint64_t tag = packed / kMaxWakeupEntries;
     RuuEntry* entry = ruu_.find(tag);
     if (entry == nullptr || entry->wakeup_row != static_cast<int>(row)) {
       continue;  // squashed by an older mispredict this same cycle
@@ -734,8 +740,7 @@ void Processor::stage_dispatch() {
     const std::uint64_t src2 =
         ruu_.latest_producer(info.rs2_class, fi.inst.rs2);
 
-    RuuEntry& entry = ruu_.allocate();
-    entry.inst = fi.inst;
+    RuuEntry& entry = ruu_.allocate(fi.inst);
     entry.pc = fi.pc;
     entry.predicted_next = fi.predicted_next;
     entry.actual_next = fi.pc + 1;

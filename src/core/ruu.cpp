@@ -1,67 +1,41 @@
 #include "core/ruu.hpp"
 
-#include "common/contracts.hpp"
-
 namespace steersim {
 
 RegisterUpdateUnit::RegisterUpdateUnit(unsigned capacity) : ring_(capacity) {
   STEERSIM_EXPECTS(capacity >= 1);
+  rename_.fill(kNoProducer);
 }
 
-RuuEntry& RegisterUpdateUnit::allocate() {
+RuuEntry& RegisterUpdateUnit::allocate(const Instruction& inst) {
   STEERSIM_EXPECTS(!full());
-  const unsigned slot = (head_ + count_) % capacity();
+  RuuEntry& entry = ring_[ring_index(count_)];
   ++count_;
-  RuuEntry& entry = ring_[slot];
   entry = RuuEntry{};
   entry.id = next_id_++;
+  entry.inst = inst;
+  record_writer(entry);
   return entry;
 }
 
-RuuEntry& RegisterUpdateUnit::at(unsigned pos) {
-  STEERSIM_EXPECTS(pos < count_);
-  return ring_[(head_ + pos) % capacity()];
+void RegisterUpdateUnit::record_writer(const RuuEntry& entry) {
+  if (entry.writes_reg()) {
+    rename_[rename_index(op_info(entry.inst.op).rd_class, entry.inst.rd)] =
+        entry.id;
+  }
 }
 
-const RuuEntry& RegisterUpdateUnit::at(unsigned pos) const {
-  STEERSIM_EXPECTS(pos < count_);
-  return ring_[(head_ + pos) % capacity()];
-}
-
-RuuEntry* RegisterUpdateUnit::find(std::uint64_t id) {
-  if (count_ == 0) {
-    return nullptr;
+void RegisterUpdateUnit::rebuild_rename() {
+  rename_.fill(kNoProducer);
+  for (unsigned pos = 0; pos < count_; ++pos) {
+    record_writer(at(pos));
   }
-  const std::uint64_t head_id = ring_[head_].id;
-  if (id < head_id || id >= head_id + count_) {
-    return nullptr;
-  }
-  return &at(static_cast<unsigned>(id - head_id));
-}
-
-const RuuEntry* RegisterUpdateUnit::find(std::uint64_t id) const {
-  return const_cast<RegisterUpdateUnit*>(this)->find(id);
-}
-
-std::uint64_t RegisterUpdateUnit::latest_producer(RegClass cls,
-                                                  std::uint8_t reg) const {
-  if (cls == RegClass::kNone || (cls == RegClass::kInt && reg == 0)) {
-    return kNoProducer;
-  }
-  for (unsigned pos = count_; pos > 0; --pos) {
-    const RuuEntry& entry = at(pos - 1);
-    const OpInfo& info = op_info(entry.inst.op);
-    if (info.rd_class == cls && entry.inst.rd == reg) {
-      return entry.id;
-    }
-  }
-  return kNoProducer;
 }
 
 RuuEntry RegisterUpdateUnit::retire_head() {
   STEERSIM_EXPECTS(count_ > 0);
   RuuEntry entry = ring_[head_];
-  head_ = (head_ + 1) % capacity();
+  head_ = ring_index(1);
   --count_;
   return entry;
 }

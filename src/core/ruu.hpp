@@ -10,9 +10,11 @@
 // forward from matching older stores).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "isa/instruction.hpp"
 
 namespace steersim {
@@ -79,20 +81,49 @@ class RegisterUpdateUnit {
   bool full() const { return count_ == capacity(); }
   bool empty() const { return count_ == 0; }
 
-  /// Allocates the next (youngest) entry; RUU must not be full.
-  RuuEntry& allocate();
+  /// Allocates the next (youngest) entry for `inst` and records it as the
+  /// youngest in-flight writer of its destination register; RUU must not
+  /// be full. The entry's `inst` must not change afterwards (the rename
+  /// table is keyed on it).
+  RuuEntry& allocate(const Instruction& inst);
 
   /// Entry by position, 0 = oldest.
-  RuuEntry& at(unsigned pos);
-  const RuuEntry& at(unsigned pos) const;
+  RuuEntry& at(unsigned pos) {
+    STEERSIM_EXPECTS(pos < count_);
+    return ring_[ring_index(pos)];
+  }
+  const RuuEntry& at(unsigned pos) const {
+    STEERSIM_EXPECTS(pos < count_);
+    return ring_[ring_index(pos)];
+  }
 
-  /// Entry by id; null if it already retired (or never existed).
-  RuuEntry* find(std::uint64_t id);
-  const RuuEntry* find(std::uint64_t id) const;
+  /// Entry by id; null if it already retired (or never existed). Live ids
+  /// are contiguous from the head's.
+  RuuEntry* find(std::uint64_t id) {
+    if (count_ == 0) {
+      return nullptr;
+    }
+    const std::uint64_t head_id = ring_[head_].id;
+    if (id < head_id || id >= head_id + count_) {
+      return nullptr;
+    }
+    return &ring_[ring_index(static_cast<unsigned>(id - head_id))];
+  }
+  const RuuEntry* find(std::uint64_t id) const {
+    return const_cast<RegisterUpdateUnit*>(this)->find(id);
+  }
 
   /// Latest in-flight producer of (`cls`, `reg`), or kNoProducer. Integer
-  /// r0 never has a producer.
-  std::uint64_t latest_producer(RegClass cls, std::uint8_t reg) const;
+  /// r0 never has a producer. One rename-table read: the table holds the
+  /// register's youngest unsquashed writer, and find() rejects it once it
+  /// retired (every older writer retired before it).
+  std::uint64_t latest_producer(RegClass cls, std::uint8_t reg) const {
+    if (cls == RegClass::kNone || (cls == RegClass::kInt && reg == 0)) {
+      return kNoProducer;
+    }
+    const std::uint64_t id = rename_[rename_index(cls, reg)];
+    return id != kNoProducer && find(id) != nullptr ? id : kNoProducer;
+  }
 
   /// Pops the oldest entry (must be kDone or the caller knows better).
   RuuEntry retire_head();
@@ -114,8 +145,13 @@ class RegisterUpdateUnit {
     // Squashed ids are reusable: every reference to them (wake-up rows,
     // decode buffer, younger entries' producer links) dies with the squash.
     // Rolling the counter back keeps live ids contiguous, which find()
-    // relies on for O(1) lookup.
+    // relies on for O(1) lookup. The rename table may name a squashed
+    // writer, whose id the next allocation reuses, so it is rebuilt from
+    // the survivors.
     next_id_ -= squashed;
+    if (squashed > 0) {
+      rebuild_rename();
+    }
     return squashed;
   }
 
@@ -130,16 +166,41 @@ class RegisterUpdateUnit {
       --count_;
     }
     next_id_ -= squashed;
+    rename_.fill(kNoProducer);
     return squashed;
   }
 
-  void clear() { count_ = 0; }
+  void clear() {
+    count_ = 0;
+    rename_.fill(kNoProducer);
+  }
 
  private:
+  /// Ring index of position `pos` (< capacity) counted from the head.
+  unsigned ring_index(unsigned pos) const {
+    const unsigned slot = head_ + pos;
+    return slot >= capacity() ? slot - capacity() : slot;
+  }
+  /// Integer registers first, then FP registers.
+  static unsigned rename_index(RegClass cls, std::uint8_t reg) {
+    static_assert(kNumIntRegs == kNumFpRegs);
+    STEERSIM_EXPECTS(reg < kNumIntRegs);
+    return (cls == RegClass::kFp ? kNumIntRegs : 0u) + reg;
+  }
+  /// Re-derives the rename table from the in-flight entries, oldest first.
+  void rebuild_rename();
+  /// Records `entry` as the youngest writer of its destination, if any.
+  void record_writer(const RuuEntry& entry);
+
   std::vector<RuuEntry> ring_;
   std::uint64_t next_id_ = 0;
   unsigned head_ = 0;  ///< ring index of the oldest entry
   unsigned count_ = 0;
+  /// The dependency buffer's rename table: per architectural register
+  /// (integer, then FP), the id of its youngest unsquashed writer, or
+  /// kNoProducer. An entry whose writer has retired stays in place and
+  /// reads as kNoProducer through find().
+  std::array<std::uint64_t, kNumIntRegs + kNumFpRegs> rename_;
 };
 
 }  // namespace steersim

@@ -1,9 +1,5 @@
 #include "isa/opcode.hpp"
 
-#include <array>
-
-#include "common/contracts.hpp"
-
 namespace steersim {
 namespace {
 
@@ -166,14 +162,8 @@ constexpr std::array<OpInfo, kNumOpcodes> build_table() {
   return t;
 }
 
-constexpr std::array<OpInfo, kNumOpcodes> kOpTable = build_table();
-
 }  // namespace
 
-const OpInfo& op_info(Opcode op) {
-  const auto idx = static_cast<std::size_t>(op);
-  STEERSIM_EXPECTS(idx < kNumOpcodes);
-  return kOpTable[idx];
-}
+constexpr std::array<OpInfo, kNumOpcodes> kOpTable = build_table();
 
 }  // namespace steersim

@@ -6,9 +6,12 @@
 // multiply 4, divide 12, FP add 3, FP multiply 5, FP divide 16, sqrt 20).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
+#include "common/contracts.hpp"
 #include "isa/fu_type.hpp"
 
 namespace steersim {
@@ -110,8 +113,17 @@ struct OpInfo {
   bool is_halt;
 };
 
-/// Metadata for an opcode; total function over valid opcodes.
-const OpInfo& op_info(Opcode op);
+/// Per-opcode metadata, indexed by opcode (defined in opcode.cpp). Read
+/// it through op_info(), which range-checks the index.
+extern const std::array<OpInfo, kNumOpcodes> kOpTable;
+
+/// Metadata for an opcode; total function over valid opcodes. Inline: the
+/// pipeline stages consult it many times per simulated cycle.
+inline const OpInfo& op_info(Opcode op) {
+  const auto idx = static_cast<std::size_t>(op);
+  STEERSIM_EXPECTS(idx < kNumOpcodes);
+  return kOpTable[idx];
+}
 
 /// Functional-unit type required by an opcode (paper: exactly one per op).
 inline FuType fu_type_of(Opcode op) { return op_info(op).fu; }

@@ -3,6 +3,7 @@
 // bases.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "config/steering_set.hpp"
 
 namespace steersim {
@@ -96,6 +97,23 @@ TEST(Allocation, ClearSpanOrphansContinuationsSafely) {
   EXPECT_EQ(regions.size(), 0u);  // orphaned continuations form no unit
   const FuCounts empty{};
   EXPECT_EQ(alloc.counts(), empty);
+}
+
+TEST(Allocation, RegionSlotsMatchesRegionLengths) {
+  // Every slot code, including orphaned and overlong continuation runs and
+  // the undefined code 0b110, across random vectors.
+  Xoshiro256 rng(7);
+  for (unsigned trial = 0; trial < 500; ++trial) {
+    AllocationVector alloc(1 + static_cast<unsigned>(rng.next_below(32)));
+    for (unsigned slot = 0; slot < alloc.num_slots(); ++slot) {
+      alloc.set_code(slot, static_cast<std::uint8_t>(rng.next_below(8)));
+    }
+    unsigned covered = 0;
+    for (const auto& region : alloc.regions()) {
+      covered += region.len;
+    }
+    EXPECT_EQ(alloc.region_slots(), covered) << alloc.to_string();
+  }
 }
 
 TEST(Allocation, ToStringFormat) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "common/bitset.hpp"
 #include "common/fixed_vector.hpp"
@@ -83,6 +84,67 @@ TEST(FixedVector, Equality) {
   EXPECT_EQ(a, b);
   b.push_back(2);
   EXPECT_FALSE(a == b);
+}
+
+TEST(FixedVector, CopiesAndAssignsOnlyTheLivePrefix) {
+  FixedVector<int, 8> a;
+  for (int i = 1; i <= 5; ++i) {
+    a.push_back(i);
+  }
+  a.pop_back();
+  a.pop_back();  // live prefix {1, 2, 3}; slots 3 and 4 hold stale values
+
+  const FixedVector<int, 8> copy(a);
+  ASSERT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy[0], 1);
+  EXPECT_EQ(copy[2], 3);
+  EXPECT_EQ(copy, a);
+
+  // Assigning a shorter vector over a longer one truncates it.
+  FixedVector<int, 8> longer;
+  for (int i = 0; i < 7; ++i) {
+    longer.push_back(90 + i);
+  }
+  longer = a;
+  ASSERT_EQ(longer.size(), 3u);
+  EXPECT_EQ(longer[1], 2);
+  EXPECT_EQ(longer, a);
+
+  // Growing after an assignment writes fresh slots; a longer vector over a
+  // shorter one extends it.
+  longer.push_back(40);
+  EXPECT_FALSE(longer == a);
+  EXPECT_EQ(longer.back(), 40);
+  a = longer;
+  ASSERT_EQ(a.size(), 4u);
+  EXPECT_EQ(a[3], 40);
+  EXPECT_EQ(a, longer);
+
+  // Equal live prefixes compare equal whatever lies past size().
+  FixedVector<int, 8> fresh;
+  for (int i : {1, 2, 3, 40}) {
+    fresh.push_back(i);
+  }
+  EXPECT_EQ(fresh, a);
+  a = a;  // self-assignment keeps the contents
+  EXPECT_EQ(fresh, a);
+
+  // Non-trivial elements copy and move element-wise.
+  FixedVector<std::string, 4> words;
+  words.push_back("issue");
+  words.push_back("steer");
+  FixedVector<std::string, 4> copied(words);
+  EXPECT_EQ(copied, words);
+  FixedVector<std::string, 4> moved(std::move(copied));
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved[1], "steer");
+  FixedVector<std::string, 4> target;
+  target.push_back("stale");
+  target.push_back("stale");
+  target.push_back("stale");
+  target = std::move(moved);
+  ASSERT_EQ(target.size(), 2u);
+  EXPECT_EQ(target, words);
 }
 
 TEST(Xoshiro, DeterministicPerSeed) {

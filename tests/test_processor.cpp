@@ -407,6 +407,16 @@ TEST(ConfigValidation, RejectsBadWidthsAndMemory) {
   expect_rejected(cfg, "data_memory_bytes");
 }
 
+TEST(ConfigValidation, RejectsMoreFixedUnitsThanTheEngineHolds) {
+  MachineConfig cfg;
+  cfg.steering.ffu = {7, 7, 6, 6, 6};  // 32 FFUs: the most that fit
+  const Program p = assemble("  halt\n");
+  EXPECT_NO_THROW(
+      Processor(p, cfg, std::make_unique<StaticPolicy>("test")));
+  cfg.steering.ffu[fu_index(FuType::kIntAlu)] = 8;
+  expect_rejected(cfg, "steering.ffu");
+}
+
 TEST(ConfigValidation, RejectsBadFaultParameters) {
   MachineConfig cfg;
   cfg.fault.upset_rate = 1.5;
