@@ -12,9 +12,9 @@ UnitOneHot unit_decode(Opcode op) {
   return one_hot;
 }
 
-FuCounts encode_requirements(std::span<const Opcode> ready_ops) {
+FuCounts encode_requirements(std::span<const Opcode> queue_ops) {
   FuCounts counts{};
-  for (const Opcode op : ready_ops) {
+  for (const Opcode op : queue_ops) {
     auto& c = counts[fu_index(fu_type_of(op))];
     if (c < 7) {  // 3-bit saturating count
       ++c;
@@ -46,22 +46,22 @@ ConfigSelectionUnit::ConfigSelectionUnit(SteeringSet set, CemMode mode,
 }
 
 SelectionTrace ConfigSelectionUnit::select(
-    std::span<const Opcode> ready_ops, const FuCounts& current_total,
+    std::span<const Opcode> queue_ops, const FuCounts& current_total,
     const std::array<unsigned, kNumCandidates>& reconfig_cost) const {
   SelectionTrace trace;
 
   // Stage 1: unit decoders (at most the queue capacity is wired up).
   trace.num_entries = static_cast<unsigned>(
-      std::min<std::size_t>(ready_ops.size(), kQueueCapacity));
+      std::min<std::size_t>(queue_ops.size(), kQueueCapacity));
   for (unsigned i = 0; i < trace.num_entries; ++i) {
-    trace.one_hots[i] = unit_decode(ready_ops[i]);
+    trace.one_hots[i] = unit_decode(queue_ops[i]);
   }
 
   // Stage 2: resource requirements encoder (3-bit saturating counts; for
   // machines with queues deeper than 7 the counts saturate exactly as the
   // hardware encoders would).
   SelectionTrace tail =
-      select_counts(encode_requirements(ready_ops), current_total,
+      select_counts(encode_requirements(queue_ops), current_total,
                     reconfig_cost);
   tail.num_entries = trace.num_entries;
   tail.one_hots = trace.one_hots;

@@ -36,7 +36,7 @@ using UnitOneHot = SmallBitset<kNumFuTypes>;
 UnitOneHot unit_decode(Opcode op);
 
 /// Stage 2: per-type 3-bit requirement counts, saturating at 7.
-FuCounts encode_requirements(std::span<const Opcode> ready_ops);
+FuCounts encode_requirements(std::span<const Opcode> queue_ops);
 
 /// Fig. 3c: shift amount (divisor exponent) from a 3-bit available count.
 /// High-order bit set -> shift 2 (divide by 4); next bit -> shift 1; else 0.
@@ -111,12 +111,12 @@ class ConfigSelectionUnit {
                                TieBreak tie_break = TieBreak::kPaper);
 
   /// Runs the four stages.
-  ///   `ready_ops`        — opcodes of queue entries awaiting execution;
+  ///   `queue_ops`        — opcodes of queue entries awaiting execution;
   ///   `current_total`    — units of each type currently configured
   ///                        (RFUs + FFUs), from the configuration loader;
   ///   `reconfig_cost`    — per candidate, slots that would need rewriting
   ///                        (0 for the current configuration).
-  SelectionTrace select(std::span<const Opcode> ready_ops,
+  SelectionTrace select(std::span<const Opcode> queue_ops,
                         const FuCounts& current_total,
                         const std::array<unsigned, kNumCandidates>&
                             reconfig_cost) const;

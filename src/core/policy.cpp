@@ -15,21 +15,6 @@ SteeredPolicy::SteeredPolicy(const SteeringSet& set, CemMode cem,
       interval_(interval), confirm_(confirm), lookahead_(lookahead) {
   STEERSIM_EXPECTS(interval >= 1);
   STEERSIM_EXPECTS(confirm >= 1);
-  name_ = "steered";
-  if (cem == CemMode::kExactDivide) {
-    name_ += "-exact";
-  }
-  if (tie_break == TieBreak::kLeastReconfig) {
-    name_ += "-ties:least-reconfig";
-  } else if (tie_break == TieBreak::kLowestIndex) {
-    name_ += "-ties:naive";
-  }
-  if (confirm > 1) {
-    name_ += "-confirm" + std::to_string(confirm);
-  }
-  if (lookahead) {
-    name_ += "-lookahead";
-  }
 }
 
 const std::array<unsigned, kNumCandidates>& SteeredPolicy::candidate_costs(
@@ -50,13 +35,8 @@ const std::array<unsigned, kNumCandidates>& SteeredPolicy::candidate_costs(
   return cost_;
 }
 
-FuCounts SteeredPolicy::merged_requirements(const SteerContext& ctx) {
-  if (!have_required_ || ready_dirty_) {
-    base_required_ = encode_requirements(ctx.ready_ops);
-    have_required_ = true;
-    ready_dirty_ = false;
-  }
-  FuCounts required = base_required_;
+FuCounts SteeredPolicy::merged_requirements(const SteerContext& ctx) const {
+  FuCounts required = ctx.required;
   if (lookahead_ && ctx.lookahead != nullptr) {
     // Merge the pre-decoded requirements of the upcoming trace (3-bit
     // saturating addition, as the hardware encoders would).
@@ -84,9 +64,6 @@ const SelectionTrace& SteeredPolicy::cached_selection(
 
 void SteeredPolicy::steer(const SteerContext& ctx,
                           ConfigurationLoader& loader) {
-  // Latch ready-set changes before the countdown gate: the decision after
-  // the countdown must see every change that happened during it.
-  ready_dirty_ = ready_dirty_ || ctx.ready_changed;
   if (countdown_ > 0) {
     --countdown_;
     return;
@@ -155,9 +132,6 @@ std::uint64_t SteeredPolicy::idle_advance(std::uint64_t max_cycles,
   if (max_cycles == 0) {
     return 0;
   }
-  // Latch ready-set changes exactly as a live steer() at the window's
-  // first cycle would (the caller clears its dirty flag after a skip).
-  ready_dirty_ = ready_dirty_ || ctx.ready_changed;
   if (audit_ != nullptr) {
     // The audit log wants a live record for every decision: advance only
     // through the decision-free countdown prefix and stop right before
@@ -227,15 +201,10 @@ GreedyPolicy::GreedyPolicy(const SteeringSet& set, unsigned interval,
 
 void GreedyPolicy::steer(const SteerContext& ctx,
                          ConfigurationLoader& loader) {
-  // Sample every cycle so the EWMA sees the demand between decisions; the
-  // encoding is only recomputed when the ready set actually changed.
-  if (!have_sample_ || ctx.ready_changed) {
-    sample_cache_ = encode_requirements(ctx.ready_ops);
-    have_sample_ = true;
-  }
+  // Sample every cycle so the EWMA sees the demand between decisions.
   for (unsigned t = 0; t < kNumFuTypes; ++t) {
     smoothed_[t] = (1.0 - smoothing_) * smoothed_[t] +
-                   smoothing_ * static_cast<double>(sample_cache_[t]);
+                   smoothing_ * static_cast<double>(ctx.required[t]);
   }
   if (countdown_ > 0) {
     --countdown_;
@@ -262,10 +231,6 @@ std::uint64_t GreedyPolicy::idle_advance(std::uint64_t max_cycles,
                                          const SteerContext& ctx,
                                          ConfigurationLoader& loader) {
   (void)loader;
-  if (!have_sample_ || ctx.ready_changed) {
-    sample_cache_ = encode_requirements(ctx.ready_ops);
-    have_sample_ = true;
-  }
   if (countdown_ == 0) {
     return 0;  // a repack decision is due this cycle: run it live
   }
@@ -276,14 +241,15 @@ std::uint64_t GreedyPolicy::idle_advance(std::uint64_t max_cycles,
   for (std::uint64_t i = 0; i < k; ++i) {
     for (unsigned t = 0; t < kNumFuTypes; ++t) {
       smoothed_[t] = (1.0 - smoothing_) * smoothed_[t] +
-                     smoothing_ * static_cast<double>(sample_cache_[t]);
+                     smoothing_ * static_cast<double>(ctx.required[t]);
     }
   }
   countdown_ -= static_cast<unsigned>(k);
   return k;
 }
 
-OraclePolicy::OraclePolicy(const SteeringSet& set) : set_(set) {}
+OraclePolicy::OraclePolicy(const SteeringSet& set)
+    : set_(set), packed_cache_(pack(FuCounts{}, set.ffu, set.num_slots)) {}
 
 AllocationVector OraclePolicy::pack(const FuCounts& required,
                                     const FuCounts& ffu,
@@ -323,26 +289,25 @@ AllocationVector OraclePolicy::pack(const FuCounts& required,
   return alloc;
 }
 
+const AllocationVector& OraclePolicy::packed(const FuCounts& required) {
+  if (required != required_cache_) {
+    required_cache_ = required;
+    packed_cache_ = pack(required_cache_, set_.ffu, set_.num_slots);
+  }
+  return packed_cache_;
+}
+
 void OraclePolicy::steer(const SteerContext& ctx,
                          ConfigurationLoader& loader) {
-  if (!have_packed_ || ctx.ready_changed) {
-    required_cache_ = encode_requirements(ctx.ready_ops);
-    packed_cache_ = pack(required_cache_, set_.ffu, set_.num_slots);
-    have_packed_ = true;
-  }
+  const AllocationVector& target = packed(ctx.required);
   ++stats_.steer_events;
-  loader.request(packed_cache_);
+  loader.request(target);
 }
 
 std::uint64_t OraclePolicy::idle_advance(std::uint64_t max_cycles,
                                          const SteerContext& ctx,
                                          ConfigurationLoader& loader) {
-  if (!have_packed_ || ctx.ready_changed) {
-    required_cache_ = encode_requirements(ctx.ready_ops);
-    packed_cache_ = pack(required_cache_, set_.ffu, set_.num_slots);
-    have_packed_ = true;
-  }
-  if (loader.requested() != packed_cache_) {
+  if (loader.requested() != packed(ctx.required)) {
     return 0;  // the next steer() would retarget: run it live
   }
   // Every steer() in the window re-requests the already-requested target,

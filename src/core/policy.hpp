@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "common/rng.hpp"
@@ -24,8 +23,9 @@
 namespace steersim {
 
 struct SteerContext {
-  /// Opcodes of queue entries awaiting execution, oldest first.
-  std::span<const Opcode> ready_ops;
+  /// Requirement counts of the queue entries awaiting execution (selection
+  /// stages 1-2: per FU type, a 3-bit count saturating at 7).
+  FuCounts required{};
   /// Units of each type currently configured (RFU + FFU).
   FuCounts current_total{};
   /// Pre-decoded unit requirements of the trace line about to be fetched
@@ -34,10 +34,6 @@ struct SteerContext {
   const FuCounts* lookahead = nullptr;
   /// Current simulation cycle (timestamps trace/audit observations).
   std::uint64_t cycle = 0;
-  /// False when `ready_ops` is unchanged since the previous steer() (same
-  /// rows, same order) — policies may then reuse cached requirement
-  /// encodings. Defaults to true (recompute), which is always safe.
-  bool ready_changed = true;
 };
 
 struct PolicyStats {
@@ -83,7 +79,6 @@ class SteeringPolicy {
     return 0;
   }
 
-  virtual std::string_view name() const = 0;
   const PolicyStats& stats() const { return stats_; }
 
   /// Attaches the cycle tracer and steering audit log (either may be
@@ -116,7 +111,6 @@ class SteeredPolicy final : public SteeringPolicy {
   std::uint64_t idle_advance(std::uint64_t max_cycles,
                              const SteerContext& ctx,
                              ConfigurationLoader& loader) override;
-  std::string_view name() const override { return name_; }
   const ConfigSelectionUnit& selection_unit() const { return unit_; }
 
  private:
@@ -125,10 +119,9 @@ class SteeredPolicy final : public SteeringPolicy {
   /// those).
   const std::array<unsigned, kNumCandidates>& candidate_costs(
       const ConfigurationLoader& loader);
-  /// Requirement encoding of the ready set, recomputed only when the set
-  /// changed; the lookahead merge happens per call (it is cheap and tracks
-  /// the fetch PC, not the queue).
-  FuCounts merged_requirements(const SteerContext& ctx);
+  /// `ctx.required`, plus the upcoming trace line's requirements when
+  /// lookahead steering is on.
+  FuCounts merged_requirements(const SteerContext& ctx) const;
   /// CEM selection for (required, current_total, costs), memoized on its
   /// exact inputs (between reconfigurations every input is stable).
   const SelectionTrace& cached_selection(
@@ -143,14 +136,7 @@ class SteeredPolicy final : public SteeringPolicy {
   unsigned pending_selection_ = 0;
   unsigned pending_streak_ = 0;
   bool lookahead_;
-  std::string name_;
 
-  /// Ready-set change latch: steer() may early-return on countdown cycles
-  /// without reading ctx, so changes observed then must survive until the
-  /// next actual decision consumes them.
-  bool ready_dirty_ = true;
-  bool have_required_ = false;
-  FuCounts base_required_{};
   bool have_costs_ = false;
   AllocationVector cost_alloc_;
   SlotMask cost_avoid_;
@@ -179,7 +165,6 @@ class GreedyPolicy final : public SteeringPolicy {
   std::uint64_t idle_advance(std::uint64_t max_cycles,
                              const SteerContext& ctx,
                              ConfigurationLoader& loader) override;
-  std::string_view name() const override { return "greedy"; }
 
  private:
   SteeringSet set_;
@@ -187,26 +172,17 @@ class GreedyPolicy final : public SteeringPolicy {
   unsigned countdown_ = 0;
   double smoothing_;
   std::array<double, kNumFuTypes> smoothed_{};
-  /// Requirement sample of the current ready set (resampled only when the
-  /// set changes; the EWMA still folds it in every cycle).
-  bool have_sample_ = false;
-  FuCounts sample_cache_{};
 };
 
 /// No steering at all (covers both FFU-only and frozen-preset machines —
 /// the difference is the initial allocation the processor is built with).
 class StaticPolicy final : public SteeringPolicy {
  public:
-  explicit StaticPolicy(std::string name) : name_(std::move(name)) {}
   void steer(const SteerContext&, ConfigurationLoader&) override {}
   std::uint64_t idle_advance(std::uint64_t max_cycles, const SteerContext&,
                              ConfigurationLoader&) override {
     return max_cycles;  // steer() is a no-op, so any window skips freely
   }
-  std::string_view name() const override { return name_; }
-
- private:
-  std::string name_;
 };
 
 /// Ideal upper bound: each cycle, packs the fabric greedily to the current
@@ -218,7 +194,6 @@ class OraclePolicy final : public SteeringPolicy {
   std::uint64_t idle_advance(std::uint64_t max_cycles,
                              const SteerContext& ctx,
                              ConfigurationLoader& loader) override;
-  std::string_view name() const override { return "oracle"; }
 
   /// Greedy fabric packing for a requirement vector: repeatedly gives a
   /// slot region to the type with the largest unmet demand per configured
@@ -227,9 +202,10 @@ class OraclePolicy final : public SteeringPolicy {
                                unsigned num_slots);
 
  private:
+  /// pack() of `required`, recomputed only when the vector changes.
+  const AllocationVector& packed(const FuCounts& required);
+
   SteeringSet set_;
-  /// pack() of the current ready set, recomputed only when the set changes.
-  bool have_packed_ = false;
   FuCounts required_cache_{};
   AllocationVector packed_cache_;
 };
@@ -244,7 +220,6 @@ class RandomPolicy final : public SteeringPolicy {
   /// from the RNG, so they always run live.
   std::uint64_t idle_advance(std::uint64_t max_cycles, const SteerContext&,
                              ConfigurationLoader&) override;
-  std::string_view name() const override { return "random"; }
 
  private:
   std::array<AllocationVector, kNumPresetConfigs> preset_allocs_;

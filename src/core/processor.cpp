@@ -523,42 +523,14 @@ void Processor::stage_issue() {
   }
 }
 
-void Processor::refresh_ready_ops() {
-  const std::uint64_t version = wakeup_.ready_version();
-  if (version == steer_ready_version_) {
-    return;
-  }
-  steer_ready_version_ = version;
-  ready_ops_cache_.clear();
-  for (const unsigned row : wakeup_.age_order()) {
-    const WakeupEntry& we = wakeup_.entry(row);
-    if (we.scheduled) {
-      continue;
-    }
-    const RuuEntry* entry = ruu_.find(we.tag);
-    STEERSIM_ENSURES(entry != nullptr);
-    ready_ops_cache_.push_back(entry->inst.op);
-  }
-  ready_dirty_ = true;
-}
-
-FuCounts Processor::ready_requirements() {
-  refresh_ready_ops();
-  return encode_requirements(
-      {ready_ops_cache_.begin(), ready_ops_cache_.end()});
-}
-
-void Processor::stage_steer() {
+SteerContext Processor::steer_context() const {
   // The configuration manager inspects the queue entries that are ready to
-  // be executed (valid, not yet scheduled), oldest first. The list (and
-  // downstream requirement encodings, via ctx.ready_changed) is rebuilt
-  // only when the wake-up array's ready set actually changed.
-  refresh_ready_ops();
+  // be executed (valid, not yet scheduled): the wake-up array's required
+  // columns already hold their stage-1 one-hots.
   SteerContext ctx;
-  ctx.ready_ops = {ready_ops_cache_.begin(), ready_ops_cache_.end()};
+  ctx.required = wakeup_.ready_requirements();
   ctx.current_total = engine_.configured_units();
   ctx.cycle = stats_.cycles;
-  ctx.ready_changed = ready_dirty_;
   // Lookahead probe: the pre-decoded requirements of the trace line the
   // fetch unit is about to stream, if it will hit.
   if (trace_cache_ != nullptr) {
@@ -566,8 +538,11 @@ void Processor::stage_steer() {
       ctx.lookahead = &line->requirements;
     }
   }
-  policy_->steer(ctx, loader_);
-  ready_dirty_ = false;
+  return ctx;
+}
+
+void Processor::stage_steer() {
+  policy_->steer(steer_context(), loader_);
   loader_.step(engine_.slot_busy());
 }
 
@@ -626,22 +601,11 @@ std::uint64_t Processor::try_skip(std::uint64_t budget) {
     return 0;
   }
   // Ask the policy to emulate up to k back-to-back steer() calls.
-  refresh_ready_ops();
-  SteerContext ctx;
-  ctx.ready_ops = {ready_ops_cache_.begin(), ready_ops_cache_.end()};
-  ctx.current_total = engine_.configured_units();
-  ctx.cycle = stats_.cycles;
-  ctx.ready_changed = ready_dirty_;
-  if (trace_cache_ != nullptr) {
-    if (const TraceLine* line = trace_cache_->peek(fetch_.pc())) {
-      ctx.lookahead = &line->requirements;
-    }
-  }
-  const std::uint64_t advanced = policy_->idle_advance(k, ctx, loader_);
+  const std::uint64_t advanced =
+      policy_->idle_advance(k, steer_context(), loader_);
   if (advanced == 0) {
     return 0;
   }
-  ready_dirty_ = false;
   // Replay the per-cycle bookkeeping the skipped cycles would have done.
   stats_.resource_starved += advanced * dep_ready.count();
   engine_.fast_forward(advanced);

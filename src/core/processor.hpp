@@ -217,12 +217,6 @@ class Processor {
     retire_hook_ = std::move(hook);
   }
 
-  /// Requirement encoding of the current ready set (the per-core demand
-  /// signal the multi-core fabric's proportional-share arbiter samples).
-  /// Reuses the steer stage's memoized ready list, so interleaving calls
-  /// with step() never changes what the policy observes.
-  FuCounts ready_requirements();
-
  private:
   /// Throws std::invalid_argument on an inconsistent configuration; called
   /// before any member constructs so no module ever sees bad parameters.
@@ -247,9 +241,8 @@ class Processor {
   void stage_dispatch();
   void stage_fetch();
 
-  /// Rebuilds `ready_ops_cache_` iff the wake-up array's ready set changed
-  /// since the last rebuild (keyed on WakeupArray::ready_version()).
-  void refresh_ready_ops();
+  /// What the policy sees this cycle, for steer() and idle_advance() alike.
+  SteerContext steer_context() const;
   /// Event-driven skip-ahead (run() fast path; step() stays one cycle):
   /// when the machine is provably idle — front end stalled, nothing can
   /// retire, issue, or complete, loader quiescent — advances up to
@@ -306,12 +299,6 @@ class Processor {
 
   std::function<void(const RuuEntry&)> retire_hook_;
 
-  /// stage_steer ready-op list, rebuilt only when the wake-up array's
-  /// ready set changed. `ready_dirty_` latches "changed since the policy
-  /// last consumed it" across cycles (and across skip windows).
-  FixedVector<Opcode, kMaxWakeupEntries> ready_ops_cache_;
-  std::uint64_t steer_ready_version_ = ~std::uint64_t{0};
-  bool ready_dirty_ = true;
   /// Skip-ahead is structurally allowed: no recovery, no fault injection,
   /// no pipelined units (observers do not veto it). Fixed at construction.
   bool skip_eligible_ = false;

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/sat_counter.hpp"
@@ -25,8 +24,6 @@ class BranchPredictor {
 
   /// Trains on the resolved outcome.
   virtual void update(std::uint64_t pc, bool taken) = 0;
-
-  virtual std::string_view name() const = 0;
 };
 
 /// Always predicts not-taken.
@@ -34,7 +31,6 @@ class NotTakenPredictor final : public BranchPredictor {
  public:
   bool predict(std::uint64_t, std::uint64_t) override { return false; }
   void update(std::uint64_t, bool) override {}
-  std::string_view name() const override { return "not-taken"; }
 };
 
 /// Backward taken, forward not taken (loops predicted taken).
@@ -44,7 +40,6 @@ class BtfnPredictor final : public BranchPredictor {
     return target <= pc;
   }
   void update(std::uint64_t, bool) override {}
-  std::string_view name() const override { return "btfn"; }
 };
 
 /// PC-indexed table of 2-bit saturating counters (bimodal predictor).
@@ -59,7 +54,6 @@ class TwoBitPredictor final : public BranchPredictor {
   void update(std::uint64_t pc, bool taken) override {
     table_[pc % table_.size()].update(taken);
   }
-  std::string_view name() const override { return "2bit"; }
 
  private:
   std::vector<SatCounter> table_;

@@ -23,7 +23,9 @@ constexpr std::int32_t sign_extend(std::uint32_t value, unsigned bits) {
 void check_reg(std::uint8_t r) { STEERSIM_EXPECTS(r < kNumIntRegs); }
 
 std::string reg_name(RegClass cls, std::uint8_t r) {
-  return (cls == RegClass::kFp ? "f" : "r") + std::to_string(r);
+  std::string name(1, cls == RegClass::kFp ? 'f' : 'r');
+  name += std::to_string(r);
+  return name;
 }
 
 }  // namespace

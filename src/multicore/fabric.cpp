@@ -7,13 +7,11 @@
 namespace steersim {
 
 SharedFabric::SharedFabric(unsigned num_cores, unsigned num_slots,
-                           const FabricParams& params)
-    : num_cores_(num_cores), num_slots_(num_slots), params_(params),
-      arbiter_(params.arbiter, num_cores, stats_),
-      quota_(num_cores) {
+                           ArbiterKind arbiter)
+    : num_cores_(num_cores), num_slots_(num_slots),
+      arbiter_(arbiter, num_cores, stats_), quota_(num_cores) {
   STEERSIM_EXPECTS(num_cores >= 1);
   STEERSIM_EXPECTS(num_slots >= num_cores);
-  STEERSIM_EXPECTS(params.repartition_interval >= 1);
   for (unsigned core = 0; core < num_cores_; ++core) {
     quota_[core] = equal_partition(core);
   }
@@ -59,8 +57,8 @@ void SharedFabric::begin_cycle(std::uint64_t cycle,
     tracer_->instant(traced_holder_ < 0 ? "release" : "grant",
                      trace_cat::kLoader, kArbiterLane, cycle, args);
   }
-  if (params_.arbiter == ArbiterKind::kPropShare && num_cores_ > 1 &&
-      cycle > 0 && cycle % params_.repartition_interval == 0) {
+  if (arbiter_.kind() == ArbiterKind::kPropShare && num_cores_ > 1 &&
+      cycle > 0 && cycle % kRepartitionInterval == 0) {
     repartition(cycle, cores);
   }
 }
@@ -72,7 +70,8 @@ void SharedFabric::repartition(std::uint64_t cycle,
   std::vector<std::uint64_t> weight(num_cores_);
   std::uint64_t total_weight = 0;
   for (unsigned core = 0; core < num_cores_; ++core) {
-    weight[core] = fu_counts_total(cores[core]->ready_requirements()) + 1;
+    weight[core] =
+        fu_counts_total(cores[core]->wakeup().ready_requirements()) + 1;
     total_weight += weight[core];
   }
   // Every core gets one slot; the rest go proportional to demand by

@@ -1,8 +1,8 @@
 // The shared reconfigurable fabric (docs/DESIGN.md §Multi-core shared
 // fabric): one slot pool and one configuration write port, shared by N
 // cores. The fabric owns the Arbiter, partitions the pool into per-core
-// quotas (static equal spans; prop-share repartitions them periodically
-// by demand), and accumulates fabric-level contention and utilization
+// quotas (static equal spans; prop-share repartitions them by demand every
+// 64 cycles), and accumulates fabric-level contention and utilization
 // statistics. With one core attached everything degenerates to the
 // single-core machine bit-for-bit: the quota is the whole pool and the
 // port is always granted.
@@ -17,18 +17,11 @@
 
 namespace steersim {
 
-struct FabricParams {
-  ArbiterKind arbiter = ArbiterKind::kRoundRobin;
-  /// prop-share: cycles between demand-driven quota repartitions.
-  unsigned repartition_interval = 64;
-};
-
 class SharedFabric {
  public:
   /// `num_slots` is the pool size every attached core's loader was built
   /// with. Requires num_cores <= num_slots (every core gets >= 1 slot).
-  SharedFabric(unsigned num_cores, unsigned num_slots,
-               const FabricParams& params);
+  SharedFabric(unsigned num_cores, unsigned num_slots, ArbiterKind arbiter);
 
   /// Wires core `k`'s loader to the shared port and installs its initial
   /// quota. Single-core fabrics leave the quota untouched (identity).
@@ -54,6 +47,9 @@ class SharedFabric {
   /// so the lane namespace is private to it).
   static constexpr unsigned kArbiterLane = 0;
 
+  /// prop-share: cycles between demand-driven quota repartitions.
+  static constexpr unsigned kRepartitionInterval = 64;
+
  private:
   /// Contiguous equal partition: core k's span of the pool, remainder
   /// slots going to the lowest-indexed cores.
@@ -62,7 +58,6 @@ class SharedFabric {
 
   unsigned num_cores_;
   unsigned num_slots_;
-  FabricParams params_;
   FabricStats stats_;
   Arbiter arbiter_;
   std::vector<SlotMask> quota_;

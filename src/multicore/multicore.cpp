@@ -15,8 +15,7 @@ MultiCoreSim::MultiCoreSim(std::vector<CoreSpec> specs,
   const unsigned n = static_cast<unsigned>(specs.size());
   const bool split_trace = params_.machine.trace.enabled && n > 1;
   fabric_ = std::make_unique<SharedFabric>(
-      n, params_.machine.loader.num_slots,
-      FabricParams{params_.arbiter, params_.repartition_interval});
+      n, params_.machine.loader.num_slots, params_.arbiter);
   for (unsigned core = 0; core < n; ++core) {
     MachineConfig cfg = params_.machine;
     if (split_trace) {

@@ -27,9 +27,9 @@ struct CoreSpec {
 };
 
 struct MultiCoreParams {
+  /// prop-share repartitions the slot quotas every 64 cycles
+  /// (SharedFabric::kRepartitionInterval).
   ArbiterKind arbiter = ArbiterKind::kRoundRobin;
-  /// prop-share quota repartition cadence (cycles).
-  unsigned repartition_interval = 64;
   /// Per-core machine template. With tracing enabled, core k writes
   /// `trace.path + ".coreK"` under pid k and the fabric writes
   /// `trace.path + ".fabric"` under pid N; collect() merges every part

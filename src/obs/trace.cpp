@@ -14,10 +14,10 @@ namespace {
 
 using namespace std::string_view_literals;
 
-// Shared by TraceArgs and the deferred kSteer renderer so eager and
-// batched paths produce identical bytes. to_chars with an explicit
-// precision is specified to match printf "%.6g". JSON has no Inf/NaN
-// literals; render those as strings.
+// TraceArgs' double format; render()'s kSteer case writes the same bytes
+// inline, so a steer error reads alike in both places. to_chars with an
+// explicit precision is specified to match printf "%.6g". JSON has no
+// Inf/NaN literals; render those as strings.
 void append_trace_double(std::string& out, double value) {
   if (std::isfinite(value)) {
     char buf[64];
@@ -303,7 +303,7 @@ void Tracer::instant_fetch(std::uint64_t cycle, std::uint64_t pc,
   reserve_record();
   TraceRecord& rec = ring_[ring_len_++];
   rec.shape = TraceRecord::Shape::kFetch;
-  rec.name = {};  // reused slot; the render guard inspects the name
+  rec.name = {};  // reused slot; render() checks every typed name
   rec.ts = cycle;
   rec.a = pc;
   rec.b = count;
@@ -342,7 +342,7 @@ void Tracer::skip_span(std::uint64_t start, std::uint64_t cycles) {
   reserve_record();
   TraceRecord& rec = ring_[ring_len_++];
   rec.shape = TraceRecord::Shape::kSkip;
-  rec.name = {};  // reused slot; the render guard inspects the name
+  rec.name = {};  // reused slot; render() checks every typed name
   rec.ts = start;
   rec.dur = cycles;
   rec.category = trace_cat::kSkip;
@@ -399,13 +399,15 @@ void Tracer::render(const TraceRecord& rec) {
   // unchecked cursor writes straight into the flush buffer — one bounds
   // check per record, then each literal inlines to a fixed-size memcpy
   // and each number is one to_chars call. Every component is bounded:
-  // literals, <=20-digit numbers, and a short clean name. Anything
-  // unusual falls through to the general checked path below.
+  // literals, <=20-digit numbers, and a short clean name (the typed
+  // emitters only receive opcode mnemonics and audit intents). Shapes
+  // carrying interned strings go through the checked path below.
   const bool typed_hot =
       rec.shape == Shape::kInstantPcId || rec.shape == Shape::kCompletePcId ||
       rec.shape == Shape::kFetch || rec.shape == Shape::kSteer ||
       rec.shape == Shape::kSkip;
-  if (typed_hot && rec.name.size() <= 64 && name_clean(rec.name)) {
+  if (typed_hot) {
+    STEERSIM_EXPECTS(rec.name.size() <= 64 && name_clean(rec.name));
     ensure_render(kHotRecordBound);
     char* const buf = render_buf_.get() + render_len_;
     char* p = buf;
@@ -565,32 +567,13 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
     return;
   }
 
+  // kInstantBody / kCompleteBody: interned name and pre-rendered args.
   begin_event(out);
   out += R"({"name":")"sv;
-  switch (rec.shape) {
-    case Shape::kInstantBody:
-    case Shape::kCompleteBody:
-      append_json_escaped(out, pool_[rec.name_index]);
-      break;
-    case Shape::kFetch:
-      out += "fetch"sv;
-      break;
-    case Shape::kSteer:
-      out += "steer"sv;
-      break;
-    case Shape::kSkip:
-      out += "skip"sv;
-      break;
-    default:
-      append_json_escaped(out, rec.name);
-      break;
-  }
+  append_json_escaped(out, pool_[rec.name_index]);
   out += R"(","cat":")"sv;
   out += trace_cat::name(rec.category);
-  const bool is_span = rec.shape == Shape::kCompleteBody ||
-                       rec.shape == Shape::kCompletePcId ||
-                       rec.shape == Shape::kSkip;
-  if (is_span) {
+  if (rec.shape == Shape::kCompleteBody) {
     out += R"(","ph":"X","ts":)"sv;
     append_u64(out, rec.ts);
     out += R"(,"dur":)"sv;
@@ -602,52 +585,10 @@ void Tracer::render_general(const TraceRecord& rec, std::string& out) {
   out += pid_frag_;
   out += R"(,"tid":)"sv;
   append_u64(out, rec.lane);
-  switch (rec.shape) {
-    case Shape::kInstantBody:
-    case Shape::kCompleteBody:
-      if (rec.body_index != TraceRecord::kNoString) {
-        out += R"(,"args":{)"sv;
-        out += pool_[rec.body_index];
-        out += '}';
-      }
-      break;
-    case Shape::kInstantPcId:
-    case Shape::kCompletePcId:
-      out += R"(,"args":{"pc":)"sv;
-      append_u64(out, rec.a);
-      out += R"(,"id":)"sv;
-      append_u64(out, rec.b);
-      out += '}';
-      break;
-    case Shape::kFetch:
-      out += R"(,"args":{"pc":)"sv;
-      append_u64(out, rec.a);
-      out += R"(,"count":)"sv;
-      append_u64(out, rec.b);
-      out += R"(,"from_trace":)"sv;
-      append_u64(out, rec.c);
-      out += '}';
-      break;
-    case Shape::kSteer:
-      out += R"(,"args":{"selection":)"sv;
-      append_u64(out, rec.a);
-      out += R"(,"error":)"sv;
-      append_trace_double(out, std::bit_cast<double>(rec.b));
-      out += R"(,"cost":)"sv;
-      append_u64(out, rec.c);
-      out += R"(,"streak":)"sv;
-      append_u64(out, rec.dur);
-      out += R"(,"intent":")"sv;
-      append_json_escaped(out, rec.name);
-      out += "\"}"sv;
-      break;
-    case Shape::kSkip:
-      out += R"(,"args":{"cycles":)"sv;
-      append_u64(out, rec.dur);
-      out += '}';
-      break;
-    default:
-      break;
+  if (rec.body_index != TraceRecord::kNoString) {
+    out += R"(,"args":{)"sv;
+    out += pool_[rec.body_index];
+    out += '}';
   }
   out += '}';
 }

@@ -270,7 +270,7 @@ class Tracer {
   /// Preconstructed record slots plus a fill cursor: recording reuses
   /// slots instead of re-initializing 64 bytes per event, so each
   /// emitter writes exactly the fields its shape renders (plus `name`
-  /// where the render fast-path guard inspects it).
+  /// for every typed shape, whose name render() checks).
   std::vector<TraceRecord> ring_;
   std::size_t ring_len_ = 0;
   std::vector<std::string> pool_;

@@ -37,7 +37,6 @@ std::optional<unsigned> WakeupArray::insert(FuType fu, EntryMask deps,
   fu_rows_[fu_index(fu)].set(row);
   // Ages are assigned monotonically, so appending keeps oldest-first order.
   order_.push_back(row);
-  ++ready_version_;
   ++stats_.inserts;
   return row;
 }
@@ -69,6 +68,16 @@ EntryMask WakeupArray::resource_ready(
   return mask & valid_ & ~scheduled_;
 }
 
+FuCounts WakeupArray::ready_requirements() const {
+  const EntryMask ready = unscheduled();
+  FuCounts counts{};
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    counts[t] = static_cast<std::uint8_t>(
+        std::min(7u, (fu_rows_[t] & ready).count()));
+  }
+  return counts;
+}
+
 void WakeupArray::grant(unsigned idx, unsigned latency) {
   STEERSIM_EXPECTS(idx < num_entries());
   STEERSIM_EXPECTS(latency >= 1);
@@ -85,7 +94,6 @@ void WakeupArray::grant(unsigned idx, unsigned latency) {
   scheduled_.set(idx);
   counting_.set(idx);
   result_avail_.reset(idx);
-  ++ready_version_;
   ++stats_.grants;
 }
 
@@ -99,7 +107,6 @@ void WakeupArray::reschedule(unsigned idx) {
   scheduled_.reset(idx);
   counting_.reset(idx);
   result_avail_.reset(idx);
-  ++ready_version_;
   ++stats_.reschedules;
 }
 
@@ -128,7 +135,6 @@ void WakeupArray::clear_entry(unsigned idx) {
       break;
     }
   }
-  ++ready_version_;
 }
 
 void WakeupArray::retire(unsigned idx) {

@@ -138,15 +138,14 @@ class WakeupArray {
   std::span<const unsigned> age_order() const {
     return {order_.begin(), order_.end()};
   }
-  /// Opcount of valid, not-yet-scheduled rows (the "ready" set the
-  /// configuration manager inspects).
+  /// Valid, not-yet-scheduled rows (the "ready" set the configuration
+  /// manager inspects).
   EntryMask unscheduled() const { return valid_ & ~scheduled_; }
 
-  /// Monotonic counter bumped whenever the ready set (valid, unscheduled
-  /// rows and their order) changes: insert, grant, reschedule, retire,
-  /// squash. tick() never bumps it — timers do not change which rows are
-  /// ready. Lets the steering path cache its ready-ops snapshot.
-  std::uint64_t ready_version() const { return ready_version_; }
+  /// Selection stages 1-2 (paper Fig. 2) read straight off the
+  /// execution-unit-required columns: per FU type, the number of ready
+  /// rows needing that type, as a 3-bit count saturating at 7.
+  FuCounts ready_requirements() const;
 
   const WakeupStats& stats() const { return stats_; }
 
@@ -166,7 +165,6 @@ class WakeupArray {
   std::array<EntryMask, kNumFuTypes> fu_rows_{};
   FixedVector<unsigned, kMaxWakeupEntries> order_;
   std::uint64_t next_age_ = 0;
-  std::uint64_t ready_version_ = 0;
   WakeupStats stats_;
 };
 

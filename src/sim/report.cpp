@@ -75,8 +75,10 @@ std::string format_report(const SimResult& r) {
               std::to_string(r.loader.blocked_cycles));
   std::string util = "busy unit-cycles per type:";
   for (const FuType t : kAllFuTypes) {
-    util += " " + std::string(fu_type_name(t)) + "=" +
-            std::to_string(r.engine.busy_unit_cycles[fu_index(t)]);
+    util += ' ';
+    util += fu_type_name(t);
+    util += '=';
+    util += std::to_string(r.engine.busy_unit_cycles[fu_index(t)]);
   }
   out += line("utilization", util);
   if (r.fault.upsets_injected > 0 || r.fault.permanent_failures > 0 ||

@@ -12,7 +12,8 @@ std::string PolicySpec::label(const SteeringSet& set) const {
         name += "-exact";
       }
       if (interval != 1) {
-        name += "@" + std::to_string(interval);
+        name += '@';
+        name += std::to_string(interval);
       }
       if (confirm != 1) {
         name += "-confirm" + std::to_string(confirm);
@@ -65,12 +66,11 @@ std::unique_ptr<Processor> make_processor(const Program& program,
                                                spec.lookahead);
       break;
     case PolicyKind::kStaticFfu:
-      policy = std::make_unique<StaticPolicy>("static-ffu");
+      policy = std::make_unique<StaticPolicy>();
       break;
     case PolicyKind::kStaticPreset:
       STEERSIM_EXPECTS(spec.preset_index < kNumPresetConfigs);
-      policy = std::make_unique<StaticPolicy>(
-          "static-" + set.preset_names[spec.preset_index]);
+      policy = std::make_unique<StaticPolicy>();
       initial = set.preset_allocation(spec.preset_index);
       break;
     case PolicyKind::kOracle:

@@ -541,16 +541,13 @@ Reply SimService::execute(Job& job) {
 template <typename Sim, typename Render>
 Reply SimService::drive(Job& job, Sim& sim, std::string_view goal,
                         Render&& render) {
-  // Deadline via the cycle budget, cancellation at sampler-window
-  // granularity: run() is resumable on both machines (its argument is an
-  // absolute target), so the worker advances one window at a time and
-  // polls the stop flags between windows. Jobs with sampling configured
-  // use their own period so cancellation never lands mid-window. A run()
-  // answering kMaxCycles always reached its target, so `cycle` is where
-  // the machine stands.
-  const std::uint64_t window = job.machine.sample.enabled()
-                                   ? job.machine.sample.period
-                                   : config_.cancel_check_cycles;
+  // Deadline via the cycle budget, cancellation every
+  // cancel_check_cycles: run() is resumable on both machines (its argument
+  // is an absolute target), so the worker advances one window at a time
+  // and polls the stop flags between windows. A run() answering
+  // kMaxCycles always reached its target, so `cycle` is where the machine
+  // stands.
+  const std::uint64_t window = config_.cancel_check_cycles;
   std::uint64_t cycle = std::min(job.budget, window);
   RunOutcome outcome = sim.run(cycle);
   while (outcome == RunOutcome::kMaxCycles && cycle < job.budget) {

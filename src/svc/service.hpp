@@ -49,9 +49,8 @@ struct ServiceConfig {
   std::uint64_t default_max_cycles = 200'000;
   /// Hard ceiling a client-supplied max_cycles is clamped to.
   std::uint64_t max_cycles_ceiling = 50'000'000;
-  /// Cancellation-check window (cycles) for jobs without sampling
-  /// configured; jobs with MachineConfig::sample enabled are checked at
-  /// their sampler period instead.
+  /// Cancellation-check window (cycles): a running job polls its stop
+  /// flags once per window.
   std::uint64_t cancel_check_cycles = 4096;
   /// Watchdog sampling period while wall-deadline (`wall_ms`) jobs are in
   /// flight; with none in flight the watchdog sleeps on a condition

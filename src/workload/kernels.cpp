@@ -13,7 +13,8 @@ std::string word_list(unsigned n,
                       const std::function<std::int64_t(unsigned)>& value) {
   std::string out = ".word";
   for (unsigned i = 0; i < n; ++i) {
-    out += " " + std::to_string(value(i));
+    out += ' ';
+    out += std::to_string(value(i));
   }
   return out;
 }
@@ -22,7 +23,8 @@ std::string double_list(unsigned n,
                         const std::function<double(unsigned)>& value) {
   std::string out = ".double";
   for (unsigned i = 0; i < n; ++i) {
-    out += " " + std::to_string(value(i));
+    out += ' ';
+    out += std::to_string(value(i));
   }
   return out;
 }
@@ -37,7 +39,8 @@ std::string packed_string(const std::string& text) {
   }
   std::string out = ".word";
   for (const auto w : words) {
-    out += " " + std::to_string(w);
+    out += ' ';
+    out += std::to_string(w);
   }
   return out;
 }
@@ -232,7 +235,7 @@ C: .space 64
 
   kernels.push_back(Kernel{
       "strlen", "byte-wise string scan (unaligned lb accesses)",
-      R"(  la r1, str
+      std::string(R"(  la r1, str
   addi r2, r0, 0
 len_loop:
   lb r3, 0(r1)
@@ -245,7 +248,7 @@ len_done:
   sw r2, 0(r4)
   halt
 .data
-str: )" +
+str: )") +
           packed_string("the quick brown fox jumps over the lazy dog") +
           R"(
 out: .word 0
@@ -300,7 +303,7 @@ out: .word 0
 
   kernels.push_back(Kernel{
       "vector_scale", "c[i] = 3.0 * a[i] over 96 doubles (FP streaming)",
-      R"(  la r1, a
+      std::string(R"(  la r1, a
   la r2, c
   la r3, k
   flw f1, 0(r3)
@@ -316,14 +319,14 @@ vs_loop:
   halt
 .data
 k: .double 3.0
-a: )" + double_list(96, [](unsigned i) { return 0.25 * i + 1.0; }) + R"(
+a: )") + double_list(96, [](unsigned i) { return 0.25 * i + 1.0; }) + R"(
 c: .space 96
 )"});
 
   kernels.push_back(Kernel{
       "bubble_sort",
       "bubble sort 32 words, worst case (branchy, swap-heavy memory)",
-      R"(  la r1, arr
+      std::string(R"(  la r1, arr
   li r2, 32
   addi r3, r2, -1
 bs_outer:
@@ -343,7 +346,7 @@ bs_noswap:
   bne r3, r0, bs_outer
   halt
 .data
-arr: )" + word_list(32, [](unsigned i) { return 32 - i; }) + R"(
+arr: )") + word_list(32, [](unsigned i) { return 32 - i; }) + R"(
 )"});
 
   kernels.push_back(Kernel{

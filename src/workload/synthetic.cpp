@@ -85,10 +85,14 @@ class BodyEmitter {
 
  private:
   std::string int_reg(unsigned idx) const {
-    return "r" + std::to_string(kIntPoolBase + idx);
+    std::string reg = "r";
+    reg += std::to_string(kIntPoolBase + idx);
+    return reg;
   }
   std::string fp_reg(unsigned idx) const {
-    return "f" + std::to_string(kFpPoolBase + idx);
+    std::string reg = "f";
+    reg += std::to_string(kFpPoolBase + idx);
+    return reg;
   }
 
   unsigned pick_int_src() {

@@ -244,7 +244,6 @@ TEST(MultiCore, StalledCoreNamesItselfWithItsDigest) {
 TEST(MultiCore, QuotasPartitionThePoolDisjointly) {
   MultiCoreParams params;
   params.arbiter = ArbiterKind::kPropShare;
-  params.repartition_interval = 32;
   MultiCoreSim sim({core_spec("dot_int"), core_spec("saxpy"),
                     core_spec("fib")},
                    params);

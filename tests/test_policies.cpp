@@ -18,7 +18,7 @@ LoaderParams loader_params() {
 
 SteerContext context(std::span<const Opcode> ops, const FuCounts& current) {
   SteerContext ctx;
-  ctx.ready_ops = ops;
+  ctx.required = encode_requirements(ops);
   ctx.current_total = current;
   return ctx;
 }
@@ -54,12 +54,6 @@ TEST(SteeredPolicy, IntervalThrottlesDecisions) {
     policy.steer(context(ops, ffu_only), loader);
   }
   EXPECT_EQ(policy.stats().steer_events, 2u);  // cycles 0 and 4
-}
-
-TEST(SteeredPolicy, NameReflectsVariant) {
-  EXPECT_EQ(SteeredPolicy(kSet).name(), "steered");
-  EXPECT_EQ(SteeredPolicy(kSet, CemMode::kExactDivide).name(),
-            "steered-exact");
 }
 
 TEST(OraclePack, ProvisionsForDominantDemand) {
@@ -105,7 +99,7 @@ TEST(OraclePack, ZeroFfuTypesGetAbsolutePriority) {
 }
 
 TEST(StaticPolicy, NeverTouchesLoader) {
-  StaticPolicy policy("static-test");
+  StaticPolicy policy;
   ConfigurationLoader loader(loader_params(), kSet.preset_allocation(1));
   const Opcode ops[] = {Opcode::kFadd, Opcode::kFmul, Opcode::kFsqrt};
   policy.steer(context(ops, kSet.preset_total(1)), loader);

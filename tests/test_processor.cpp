@@ -341,7 +341,7 @@ TEST(Processor, OutOfOrderCompletionObservable) {
 void expect_rejected(const MachineConfig& cfg, const std::string& needle) {
   const Program p = assemble("  halt\n");
   try {
-    Processor cpu(p, cfg, std::make_unique<StaticPolicy>("test"));
+    Processor cpu(p, cfg, std::make_unique<StaticPolicy>());
     FAIL() << "expected std::invalid_argument mentioning '" << needle
            << "'";
   } catch (const std::invalid_argument& e) {
@@ -353,7 +353,7 @@ void expect_rejected(const MachineConfig& cfg, const std::string& needle) {
 TEST(ConfigValidation, DefaultConfigIsAccepted) {
   const Program p = assemble("  halt\n");
   EXPECT_NO_THROW(
-      Processor(p, MachineConfig{}, std::make_unique<StaticPolicy>("test")));
+      Processor(p, MachineConfig{}, std::make_unique<StaticPolicy>()));
 }
 
 TEST(ConfigValidation, RejectsSlotCountMismatchWithSteeringSet) {
@@ -412,7 +412,7 @@ TEST(ConfigValidation, RejectsMoreFixedUnitsThanTheEngineHolds) {
   cfg.steering.ffu = {7, 7, 6, 6, 6};  // 32 FFUs: the most that fit
   const Program p = assemble("  halt\n");
   EXPECT_NO_THROW(
-      Processor(p, cfg, std::make_unique<StaticPolicy>("test")));
+      Processor(p, cfg, std::make_unique<StaticPolicy>()));
   cfg.steering.ffu[fu_index(FuType::kIntAlu)] = 8;
   expect_rejected(cfg, "steering.ffu");
 }

@@ -249,22 +249,52 @@ TEST(Wakeup, RequestDecomposesIntoDepAndResourceReady) {
   EXPECT_EQ(ex.array.resource_ready(none_available()), EntryMask{});
 }
 
-TEST(Wakeup, ReadyVersionTracksReadySetNotTimers) {
-  WakeupArray array(4);
-  const std::uint64_t v0 = array.ready_version();
-  const auto row = array.insert(FuType::kIntMdu, {}, 1);
-  const std::uint64_t v1 = array.ready_version();
-  EXPECT_NE(v0, v1);
-  array.grant(*row, 4);
-  const std::uint64_t v2 = array.ready_version();
-  EXPECT_NE(v1, v2);
-  // Ticks move timers, not the ready set: the version must hold still so
-  // the steering path can keep its cached ready-ops snapshot.
+TEST(Wakeup, ReadyRequirementsCountUnscheduledRowsPerType) {
+  WakeupArray array(kMaxWakeupEntries);
+  EXPECT_EQ(array.ready_requirements(), FuCounts{});
+  // Nine integer-ALU rows: the 3-bit count saturates at 7.
+  for (std::uint64_t tag = 0; tag < 9; ++tag) {
+    array.insert(FuType::kIntAlu, {}, tag);
+  }
+  const auto fp = array.insert(FuType::kFpAlu, {}, 9);
+  const auto lsu = array.insert(FuType::kLsu, {}, 10);
+  FuCounts expected{};
+  expected[fu_index(FuType::kIntAlu)] = 7;
+  expected[fu_index(FuType::kFpAlu)] = 1;
+  expected[fu_index(FuType::kLsu)] = 1;
+  EXPECT_EQ(array.ready_requirements(), expected);
+
+  // Granted rows leave the ready set: three grants drop the ALU count
+  // below saturation.
+  for (unsigned row = 0; row < 3; ++row) {
+    array.grant(row, 1);
+  }
+  expected[fu_index(FuType::kIntAlu)] = 6;
+  EXPECT_EQ(array.ready_requirements(), expected);
+  array.grant(*fp, 4);
+  expected[fu_index(FuType::kFpAlu)] = 0;
+  EXPECT_EQ(array.ready_requirements(), expected);
+  // Timers move, the ready set does not.
   array.tick();
-  array.tick();
-  EXPECT_EQ(array.ready_version(), v2);
-  array.retire(*row);
-  EXPECT_NE(array.ready_version(), v2);
+  EXPECT_EQ(array.ready_requirements(), expected);
+  // A rescheduled row requests again and counts again.
+  array.reschedule(*fp);
+  expected[fu_index(FuType::kFpAlu)] = 1;
+  EXPECT_EQ(array.ready_requirements(), expected);
+
+  // Retire and squash clear the row from its type's column; a scheduled
+  // row was not counted, so removing it changes nothing.
+  array.retire(*lsu);
+  expected[fu_index(FuType::kLsu)] = 0;
+  EXPECT_EQ(array.ready_requirements(), expected);
+  array.squash(*fp);
+  expected[fu_index(FuType::kFpAlu)] = 0;
+  EXPECT_EQ(array.ready_requirements(), expected);
+  array.squash(3);
+  expected[fu_index(FuType::kIntAlu)] = 5;
+  EXPECT_EQ(array.ready_requirements(), expected);
+  array.retire(0);
+  EXPECT_EQ(array.ready_requirements(), expected);
 }
 
 TEST(Wakeup, AdvanceMatchesRepeatedTicks) {

@@ -57,6 +57,22 @@ EntryMask random_deps(Xoshiro256& rng, const ScalarWakeupArray& ref) {
            << "unscheduled " << dut.unscheduled().raw() << " vs "
            << ref.unscheduled().raw();
   }
+  // Selection stages 1-2 from the reference's rows: the type of every
+  // valid, unscheduled row, counted per type and saturating at 7.
+  FuCounts ref_required{};
+  for (unsigned i = 0; i < ref.num_entries(); ++i) {
+    const WakeupEntry& e = ref.entry(i);
+    if (!e.valid || e.scheduled) {
+      continue;
+    }
+    std::uint8_t& count = ref_required[fu_index(e.fu)];
+    if (count < 7) {
+      ++count;
+    }
+  }
+  if (dut.ready_requirements() != ref_required) {
+    return ::testing::AssertionFailure() << "ready_requirements differ";
+  }
   if (dut.request_execution(avail) != ref.request_execution(avail)) {
     return ::testing::AssertionFailure()
            << "request_execution " << dut.request_execution(avail).raw()
