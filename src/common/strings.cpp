@@ -121,22 +121,29 @@ void append_json_escaped(std::string& out, std::string_view text) {
 }
 
 std::string json_number(double value) {
+  std::array<char, 32> buf;
+  return std::string(json_number(value, buf));
+}
+
+std::string_view json_number(double value, std::array<char, 32>& buf) {
   if (!std::isfinite(value)) {
-    return std::isnan(value) ? "\"nan\"" : (value > 0 ? "\"inf\"" : "\"-inf\"");
+    return std::isnan(value) ? "\"nan\""
+                             : (value > 0 ? "\"inf\"" : "\"-inf\"");
   }
-  if (value == static_cast<double>(static_cast<std::int64_t>(value)) &&
-      std::abs(value) < 1e15) {
-    return std::to_string(static_cast<std::int64_t>(value));
-  }
+  char* const first = buf.data();
+  char* const last = first + buf.size();
   // std::to_chars with explicit precision renders exactly like printf
   // "%.17g" in the "C" locale, but is locale-independent: canonical
   // renderings (and the FNV-1a digests over them) stay byte-identical
   // even when the process sets a comma-decimal global locale.
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value,
-                                       std::chars_format::general, 17);
+  const auto [ptr, ec] =
+      std::abs(value) < 1e15 &&
+              value == static_cast<double>(static_cast<std::int64_t>(value))
+          ? std::to_chars(first, last, static_cast<std::int64_t>(value))
+          : std::to_chars(first, last, value, std::chars_format::general,
+                          17);
   STEERSIM_ENSURES(ec == std::errc{});
-  return std::string(buf, ptr);
+  return {first, static_cast<std::size_t>(ptr - first)};
 }
 
 std::string format_bits(std::uint64_t value, unsigned bits) {

@@ -3,6 +3,7 @@
 // fancier should go through Table/Csv in src/sim.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -46,5 +47,9 @@ void append_json_escaped(std::string& out, std::string_view text);
 /// others via %.17g round-trip precision, non-finite as a quoted string
 /// (JSON has no NaN/Inf literals).
 std::string json_number(double value);
+
+/// The same spelling written into `buf`, for comparisons that must not
+/// allocate; the view points into `buf`.
+std::string_view json_number(double value, std::array<char, 32>& buf);
 
 }  // namespace steersim

@@ -160,13 +160,13 @@ void compare_bench_reports(const std::string& name,
                            CompareReport& report) {
   JsonValue a;
   JsonValue b;
-  if (!JsonParser(baseline_json).parse(a) ||
+  if (!parse_json_strict(baseline_json, a) ||
       a.kind != JsonValue::Kind::kObject) {
     add_issue(report, IssueSeverity::kWarning, name, "",
               "baseline report does not parse as JSON; skipped");
     return;
   }
-  if (!JsonParser(candidate_json).parse(b) ||
+  if (!parse_json_strict(candidate_json, b) ||
       b.kind != JsonValue::Kind::kObject) {
     add_issue(report, IssueSeverity::kRegression, name, "",
               "candidate report does not parse as JSON");

@@ -1,13 +1,14 @@
 // Wire protocol for the steersimd job server (docs/SERVICE.md).
 //
 // JSON-lines over a Unix domain socket: each frame is exactly one JSON
-// object terminated by '\n', parsed with the strict json.hpp entry point
-// so `{"a":1}{"b":2}` can never be read as one message. Requests carry an
-// assembly program or named workload kernel plus MachineConfig/PolicySpec
-// overrides; replies are either a full result (the metric registry of the
-// finished simulation, rendered canonically so a cache-hit reply is
-// byte-identical to the cold run that populated it) or a typed error with
-// a retriable bit (`queue_full` is the backpressure signal).
+// object terminated by '\n', read in one forward pass by json.hpp's
+// JsonReader, which rejects trailing bytes, so `{"a":1}{"b":2}` can never
+// be read as one message. Requests carry an assembly program or named
+// workload kernel plus MachineConfig/PolicySpec overrides; replies are
+// either a full result (the metric registry of the finished simulation,
+// rendered canonically so a cache-hit reply is byte-identical to the cold
+// run that populated it) or a typed error with a retriable bit
+// (`queue_full` is the backpressure signal).
 //
 // Every message kind round-trips: to_json() then parse() compares equal
 // (operator==), which tests/test_service.cpp enforces per kind.
@@ -92,7 +93,9 @@ struct Request {
   std::vector<std::pair<std::string, double>> config;
 
   std::string to_json() const;
-  /// Strict parse of one frame; on failure returns false and sets `error`.
+  /// Parses one frame; on failure returns false and sets `error`. Lenient
+  /// about keys: an unknown one is skipped whatever its value, and a
+  /// repeated one keeps its first value.
   static bool parse(std::string_view text, Request& out, std::string& error);
 
   bool operator==(const Request&) const = default;
@@ -161,9 +164,11 @@ struct Reply {
 
   std::string to_json() const;
   /// Strict parse of one frame. Unlike a request, a reply may carry only
-  /// the keys to_json() writes for its type, and an error reply must
-  /// carry `retriable`: a frame a bit flip damaged fails here instead of
-  /// parsing with a field reset to its default.
+  /// the keys to_json() writes for its type, each at most once, an error
+  /// reply must carry `retriable`, and `metrics` must be spelled as
+  /// canonical_metrics_json spells it: a frame a bit flip damaged fails
+  /// here instead of parsing with a field reset to its default. The
+  /// metrics bytes become metrics_json/stats_json as they are.
   static bool parse(std::string_view text, Reply& out, std::string& error);
 
   bool operator==(const Reply&) const = default;

@@ -5,6 +5,8 @@
 // scanner stay byte-identical to a per-character oracle on every byte, and
 // number parsing/rendering is locale-independent — flipping the global
 // locale to a comma decimal point must not change a single rendered byte.
+// Numbers follow RFC 8259's grammar exactly, nesting is bounded, and the
+// pull reader's canonical() agrees with render_json.
 #include <gtest/gtest.h>
 
 #include <clocale>
@@ -192,13 +194,120 @@ TEST(JsonIntegers, SmallIntegersStayExactThroughAsU64) {
 }
 
 TEST(JsonNumbers, DoublesStillParseAndRoundTrip) {
-  for (const std::string token : {"1.5", "-0.25"}) {
+  for (const std::string token : {"1.5", "-0.25", "1e+17"}) {
     const JsonValue doc = parsed(token);
     ASSERT_EQ(doc.kind, JsonValue::Kind::kNumber) << token;
     EXPECT_EQ(doc.repr, JsonValue::NumberRepr::kDouble) << token;
     EXPECT_EQ(render_json(doc), token);
   }
   EXPECT_DOUBLE_EQ(parsed("1e3").number, 1000.0);
+  EXPECT_EQ(render_json(parsed("1e3")), "1000");
+  EXPECT_EQ(render_json(parsed("18446744073709551615")),
+            "18446744073709551615");
+  EXPECT_EQ(render_json(parsed("-0")), "0");
+  EXPECT_EQ(render_json(parsed("2.5E-3")), "0.0025000000000000001");
+}
+
+TEST(JsonNumbers, MalformedTokensFailInsteadOfReadingAPrefix) {
+  // Each used to read as the longest valid prefix of its run of
+  // [0-9.eE+-], or as 0: "7-3" as 7, "--5" as 0, "1e" as 1.
+  for (const std::string token :
+       {"7-3", "--5", "1e", "-", "1.2.3", "+7", "01", ".5", "1.", "-01",
+        "1e+", "1.e5", "0x10", "1_000", "- 1", "1e400", "-1e400", "1e-400"}) {
+    EXPECT_FALSE(parses(token)) << token;
+    EXPECT_FALSE(parses("[" + token + "]")) << token;
+    EXPECT_FALSE(parses(R"({"n":)" + token + "}")) << token;
+  }
+}
+
+// --- Nesting bound --------------------------------------------------------
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonNesting, DeepNestingFailsTheParseInsteadOfTheStack) {
+  EXPECT_FALSE(parses(nested_arrays(100'000)));
+  std::string objects;
+  for (int level = 0; level < 100'000; ++level) {
+    objects += R"({"k":)";
+  }
+  objects += '0';
+  objects.append(100'000, '}');
+  EXPECT_FALSE(parses(objects));
+}
+
+TEST(JsonNesting, TheBoundIsExactlyKMaxJsonDepth) {
+  EXPECT_TRUE(parses(nested_arrays(kMaxJsonDepth)));
+  EXPECT_FALSE(parses(nested_arrays(kMaxJsonDepth + 1)));
+  // Depth counts open containers, not how many were opened in all.
+  std::string siblings = "[";
+  for (std::size_t k = 0; k < 3 * kMaxJsonDepth; ++k) {
+    siblings += k > 0 ? "," : "";
+    siblings += nested_arrays(kMaxJsonDepth - 1);
+  }
+  EXPECT_TRUE(parses(siblings + "]"));
+  JsonValue doc;
+  std::size_t consumed = 0;
+  EXPECT_FALSE(
+      parse_json_prefix(nested_arrays(kMaxJsonDepth + 1), doc, consumed));
+}
+
+// --- Pull reader -----------------------------------------------------------
+
+TEST(JsonReader, TokensComeInDocumentOrderWithTheirBytes) {
+  using Token = JsonReader::Token;
+  JsonReader reader(R"( {"a" : [1, "x\n", true, null], "b":{}} )");
+  const std::vector<std::pair<Token, std::string>> expected = {
+      {Token::kObjectBegin, "{"}, {Token::kKey, R"("a")"},
+      {Token::kArrayBegin, "["},  {Token::kNumber, "1"},
+      {Token::kString, R"("x\n")"}, {Token::kTrue, "true"},
+      {Token::kNull, "null"},     {Token::kArrayEnd, "]"},
+      {Token::kKey, R"("b")"},    {Token::kObjectBegin, "{"},
+      {Token::kObjectEnd, "}"},   {Token::kObjectEnd, "}"}};
+  for (const auto& [token, raw] : expected) {
+    ASSERT_EQ(reader.next(), token) << raw;
+    EXPECT_EQ(reader.raw(), raw);
+  }
+  EXPECT_EQ(reader.next(), Token::kEnd);
+  EXPECT_EQ(reader.next(), Token::kEnd);
+}
+
+TEST(JsonReader, SkipReadsPastOneValueAndErrorsAreSticky) {
+  using Token = JsonReader::Token;
+  JsonReader reader(R"({"skip":{"x":[1,{"y":[]}]},"keep":2})");
+  ASSERT_EQ(reader.next(), Token::kObjectBegin);
+  ASSERT_EQ(reader.next(), Token::kKey);
+  ASSERT_TRUE(reader.skip(reader.next()));
+  ASSERT_EQ(reader.next(), Token::kKey);
+  EXPECT_EQ(reader.text(), "keep");
+  ASSERT_EQ(reader.next(), Token::kNumber);
+  EXPECT_EQ(reader.number().u64, 2u);
+
+  JsonReader broken(R"({"a":[1,2}})");
+  ASSERT_EQ(broken.next(), Token::kObjectBegin);
+  ASSERT_EQ(broken.next(), Token::kKey);
+  EXPECT_FALSE(broken.skip(broken.next()));
+  EXPECT_EQ(broken.next(), Token::kError);
+  EXPECT_EQ(broken.next(), Token::kError);
+}
+
+TEST(JsonReader, CanonicalMeansSpelledAsRenderJsonSpellsIt) {
+  // canonical() of a lone scalar must agree with comparing the token to
+  // render_json of what it parses to.
+  for (const std::string token :
+       {"0", "-0", "17", "-17", "1.5", "1.50", "1e3", "1000", "1e+17",
+        "1E+17", "100000000000000000", "18446744073709551615",
+        "18446744073709551616", "0.10000000000000001", "0.1",
+        R"("plain")", R"("tab\t")", R"("\u0009")", R"("\u0001")",
+        R"("A")", R"("\u0041")", R"("\/")", R"("\"q\"")", "\"raw\x01\"",
+        "\"raw\ttab\"", "\"\xf0\x9f\x98\x80\"", R"("😀")", "true",
+        "null"}) {
+    JsonReader reader(token);
+    ASSERT_NE(reader.next(), JsonReader::Token::kError) << token;
+    EXPECT_EQ(reader.canonical(), render_json(parsed(token)) == token)
+        << token;
+  }
 }
 
 // --- Locale independence --------------------------------------------------

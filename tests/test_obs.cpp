@@ -70,7 +70,7 @@ TEST(Tracer, EmitsParseableJson) {
     tracer.close();
   }
   JsonValue doc;
-  ASSERT_TRUE(JsonParser(slurp(file.path)).parse(doc));
+  ASSERT_TRUE(parse_json_strict(slurp(file.path), doc));
   const JsonValue* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->kind, JsonValue::Kind::kArray);
@@ -121,7 +121,7 @@ TEST(Tracing, ProducesValidEventStreamFromSteeredRun) {
   ASSERT_EQ(result.outcome, RunOutcome::kHalted);
 
   JsonValue doc;
-  ASSERT_TRUE(JsonParser(slurp(file.path)).parse(doc));
+  ASSERT_TRUE(parse_json_strict(slurp(file.path), doc));
   const JsonValue* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_GT(events->array.size(), 100u);
@@ -193,7 +193,7 @@ TEST(Tracing, WindowLimitsEventsToCycleRange) {
   simulate(phased_program(), cfg, {.kind = PolicyKind::kSteered}, 100'000);
 
   JsonValue doc;
-  ASSERT_TRUE(JsonParser(slurp(file.path)).parse(doc));
+  ASSERT_TRUE(parse_json_strict(slurp(file.path), doc));
   std::uint64_t counted = 0;
   for (const JsonValue& ev : doc.get("traceEvents")->array) {
     if (ev.get("ph")->string == "M") {
@@ -718,7 +718,7 @@ TEST(Sampler, CounterTrackEventsParseAndAreMonotone) {
   ASSERT_EQ(result.outcome, RunOutcome::kHalted);
 
   JsonValue doc;
-  ASSERT_TRUE(JsonParser(slurp(file.path)).parse(doc));
+  ASSERT_TRUE(parse_json_strict(slurp(file.path), doc));
   const JsonValue* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
   std::map<std::string, double> last_ts;

@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "svc/chaos.hpp"
@@ -330,6 +331,86 @@ TEST(Resilience, RetriableErrorRepliesRetryWithoutReconnecting) {
   EXPECT_EQ(stats.reconnects, 0u)
       << "error replies are healthy transport: keep the connection";
   EXPECT_EQ(harness.service().stats().wall_deadline_exceeded, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile frames under max_frame_bytes. A value nested 100,000 arrays deep
+// used to recurse the connection thread off its stack and end the
+// process; malformed numbers used to run as some other number. Each now
+// answers bad_request, and the connection still answers the ping after.
+
+/// Reads until `lines` newline-terminated frames arrived, EOF or the
+/// deadline; returns the complete frames.
+std::vector<std::string> raw_read_lines(int fd, std::size_t lines,
+                                        int deadline_ms) {
+  std::vector<std::string> out;
+  std::string pending;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(deadline_ms);
+  char buffer[4096];
+  while (out.size() < lines) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      break;
+    }
+    const auto n = ::read(fd, buffer, sizeof(buffer));
+    if (n <= 0) {
+      break;
+    }
+    pending.append(buffer, static_cast<std::size_t>(n));
+    for (std::size_t newline = pending.find('\n');
+         newline != std::string::npos; newline = pending.find('\n')) {
+      out.push_back(pending.substr(0, newline));
+      pending.erase(0, newline + 1);
+    }
+  }
+  return out;
+}
+
+TEST(Resilience, HostileFramesAnswerBadRequestAndTheConnectionLives) {
+  ServerHarness harness({.workers = 1, .queue_capacity = 4}, {}, "hostile");
+  const int fd = raw_connect(harness.path());
+  ASSERT_GE(fd, 0);
+  const std::string nested = R"({"type":"ping","x":)" +
+                             std::string(100'000, '[') +
+                             std::string(100'000, ']') + "}";
+  ASSERT_EQ(nested.size() + 1, 200'021u);  // with its newline
+  const std::vector<std::string> hostile = {
+      nested,
+      R"({"type":"submit","kernel":"fib","max_cycles":7-3})",
+      R"({"type":"submit","kernel":"fib","max_cycles":--5})",
+      R"({"type":"submit","kernel":"fib","seed":1e})"};
+  std::string frames;
+  for (const std::string& frame : hostile) {
+    frames += frame + "\n";
+  }
+  Request ping;
+  ping.type = RequestType::kPing;
+  ping.id = "after";
+  ASSERT_TRUE(raw_send(fd, frames + ping.to_json() + "\n"));
+
+  const std::vector<std::string> replies =
+      raw_read_lines(fd, hostile.size() + 1, 10'000);
+  ::close(fd);
+  ASSERT_EQ(replies.size(), hostile.size() + 1);
+  for (std::size_t k = 0; k < replies.size(); ++k) {
+    Reply reply;
+    std::string error;
+    ASSERT_TRUE(Reply::parse(replies[k], reply, error)) << error;
+    if (k < hostile.size()) {
+      EXPECT_EQ(reply.code, error_code::kBadRequest) << replies[k];
+    } else {
+      EXPECT_EQ(reply.type, ReplyType::kPong);
+      EXPECT_EQ(reply.id, "after");
+    }
+  }
+  EXPECT_EQ(harness.service().stats().submitted, 0u)
+      << "no malformed submit ran";
 }
 
 #endif  // !_WIN32

@@ -1,10 +1,11 @@
 // steersimd service tests (docs/SERVICE.md): protocol round-trips for
-// every request/reply kind, strict JSON framing, the bounded queue's
-// backpressure contract, worker-pool restartability, LRU cache behavior,
-// and the SimService end-to-end guarantees the issue pins down — a replayed
-// submit returns identical metrics with the second reply flagged
-// "cache":"hit", and a flooded queue answers `queue_full` instead of
-// hanging or dropping.
+// every request/reply kind, strict JSON framing, the one-pass codec
+// against the DOM parsers it replaced (tests/protocol_dom_ref.hpp), the
+// bounded queue's backpressure contract, worker-pool restartability, LRU
+// cache behavior, and the SimService end-to-end guarantees the issue pins
+// down — a replayed submit returns identical metrics with the second reply
+// flagged "cache":"hit", and a flooded queue answers `queue_full` instead
+// of hanging or dropping.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "protocol_dom_ref.hpp"
 #include "sim/json.hpp"
 #include "svc/cache.hpp"
 #include "svc/chaos.hpp"
@@ -24,6 +26,7 @@
 #include "svc/queue.hpp"
 #include "svc/service.hpp"
 #include "svc/worker_pool.hpp"
+#include "workload/kernels.hpp"
 
 namespace steersim::svc {
 namespace {
@@ -1044,6 +1047,286 @@ TEST(SimService, WorkerCrashAnswersRetriableErrorAndThePoolSurvives) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.workers, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass codec against the DOM parsers it replaced
+// (tests/protocol_dom_ref.hpp). A reply it accepts, the reference accepts
+// as an equal Reply; it may reject more (a damaged metrics object). A
+// request gets the reference's verdict and an equal Request.
+
+/// Parses `frame` both ways; returns whether the one-pass parser took it.
+bool reply_parses_within_reference(std::string_view frame) {
+  Reply reply;
+  std::string error;
+  if (!Reply::parse(frame, reply, error)) {
+    return false;
+  }
+  Reply reference;
+  std::string reference_error;
+  EXPECT_TRUE(ref::parse_reply(frame, reference, reference_error))
+      << reference_error << ": " << frame;
+  EXPECT_EQ(reply, reference) << frame;
+  return true;
+}
+
+void expect_request_matches_reference(std::string_view frame) {
+  Request request;
+  Request reference;
+  std::string error;
+  std::string reference_error;
+  const bool parsed = Request::parse(frame, request, error);
+  ASSERT_EQ(parsed, ref::parse_request(frame, reference, reference_error))
+      << (parsed ? reference_error : error) << ": " << frame;
+  if (parsed) {
+    EXPECT_EQ(request, reference) << frame;
+  }
+}
+
+/// Every single-bit mutant of `frame`: the ones each parser accepts.
+struct MutantCounts {
+  int accepted = 0;
+  int reference_accepted = 0;
+};
+
+MutantCounts reply_mutants(const std::string& frame) {
+  MutantCounts counts;
+  for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = frame;
+      mutant[byte] = static_cast<char>(mutant[byte] ^ (1 << bit));
+      counts.accepted += reply_parses_within_reference(mutant) ? 1 : 0;
+      Reply reference;
+      std::string error;
+      counts.reference_accepted +=
+          ref::parse_reply(mutant, reference, error) ? 1 : 0;
+    }
+  }
+  return counts;
+}
+
+/// Real replies: every library kernel under four policies, one
+/// multi-core result and a stats snapshot.
+std::vector<Reply> service_replies() {
+  std::vector<Reply> replies;
+  SimService service({.workers = 2, .queue_capacity = 64});
+  for (const Kernel& kernel : kernel_library()) {
+    for (const char* policy : {"steered", "static-ffu", "oracle", "greedy"}) {
+      Request request = submit_kernel(kernel.name, kernel.name + "/" + policy);
+      request.policy = policy;
+      replies.push_back(service.handle(request));
+      EXPECT_EQ(replies.back().type, ReplyType::kResult)
+          << kernel.name << " " << policy << ": " << replies.back().message;
+    }
+  }
+  replies.push_back(service.handle(submit_multi(
+      {kernel_entry("fib"), kernel_entry("saxpy", "greedy")}, "prop-share",
+      "multi")));
+  EXPECT_EQ(replies.back().type, ReplyType::kResult)
+      << replies.back().message;
+  Request stats;
+  stats.type = RequestType::kStats;
+  replies.push_back(service.handle(stats));
+  EXPECT_EQ(replies.back().type, ReplyType::kStats);
+  return replies;
+}
+
+TEST(ProtocolReference, EveryReplyToJsonWritesParsesAsTheReferenceReadsIt) {
+  std::vector<Reply> replies = service_replies();
+  Reply pong;
+  pong.type = ReplyType::kPong;
+  replies.push_back(pong);
+  pong.id = "p\"1\\\n\x01";
+  replies.push_back(pong);
+  Reply goodbye;
+  goodbye.type = ReplyType::kGoodbye;
+  replies.push_back(goodbye);
+  replies.push_back(Reply::error("", error_code::kQueueFull, "", true));
+  replies.push_back(
+      Reply::error("j", error_code::kBadRequest, "unknown kernel 'x'"));
+  Reply empty_metrics;
+  empty_metrics.type = ReplyType::kResult;
+  empty_metrics.metrics_json = "{}";
+  replies.push_back(empty_metrics);
+  for (const Reply& reply : replies) {
+    const std::string frame = reply.to_json();
+    ASSERT_TRUE(reply_parses_within_reference(frame)) << frame;
+    Reply parsed;
+    std::string error;
+    ASSERT_TRUE(Reply::parse(frame, parsed, error));
+    EXPECT_EQ(parsed, reply) << frame;
+  }
+}
+
+TEST(ProtocolReference, EveryBitFlipParsesOnlyAsTheReferenceReadsIt) {
+  const std::vector<Reply> replies = service_replies();
+  const Reply& fib = replies.front();
+  ASSERT_EQ(fib.id, "fib/steered");
+  Reply pong;
+  pong.type = ReplyType::kPong;
+  pong.id = "p-1";
+  Reply goodbye;
+  goodbye.type = ReplyType::kGoodbye;
+  for (const Reply& reply :
+       {fib, replies.back(),
+        Reply::error("j-7", error_code::kWorkerCrashed, "resubmit", true),
+        pong, goodbye}) {
+    const MutantCounts counts = reply_mutants(reply.to_json());
+    EXPECT_LE(counts.accepted, counts.reference_accepted);
+    if (!reply.metrics_json.empty() || !reply.stats_json.empty()) {
+      // Flips that leave a metrics object non-canonical now fail; flips
+      // that keep it canonical still parse (a checksum's job).
+      EXPECT_LT(counts.accepted, counts.reference_accepted)
+          << reply_type_name(reply.type);
+      EXPECT_GT(counts.accepted, 0);
+    }
+  }
+}
+
+TEST(ProtocolReference, NonCanonicalMetricsFailTheParse) {
+  const auto result = [](std::string_view metrics) {
+    return R"({"type":"result","cache":"miss","cycles":1,"metrics":)" +
+           std::string(metrics) + "}";
+  };
+  // The reference re-renders each of these canonically and accepts it.
+  for (const std::string_view metrics :
+       {R"({"b":1,"a":2})", R"({"a":1,"a":2})", R"({"a":1,"a":1})",
+        R"({ "a":1})", R"({"a" :1})", R"({"a": 1})", R"({"a":1 })",
+        R"({"a":1, "b":2})", "{\n}", R"({"\u0061":1})", R"({"a\/b":1})",
+        R"({"a":1.0})", R"({"a":-0})", R"({"a":1e3})", R"({"a":1E+17})",
+        R"({"a":0.10})", R"({"a":"\u0041"})", R"({"a":true})",
+        R"({"a":null})", R"({"a":[1]})", R"({"a":{}})"}) {
+    Reply reply;
+    std::string error;
+    EXPECT_FALSE(Reply::parse(result(metrics), reply, error)) << metrics;
+    EXPECT_TRUE(ref::parse_reply(result(metrics), reply, error)) << metrics;
+  }
+  // Both parsers reject a number outside RFC 8259's grammar.
+  for (const std::string_view metrics : {R"({"a":01})", R"({"a":1-0})"}) {
+    Reply reply;
+    std::string error;
+    EXPECT_FALSE(Reply::parse(result(metrics), reply, error)) << metrics;
+    EXPECT_FALSE(ref::parse_reply(result(metrics), reply, error)) << metrics;
+  }
+  // Canonical spellings parse, escapes and strings included.
+  for (const std::string_view metrics :
+       {"{}", R"({"":0,"a":-1})", R"({"a\"b":1,"a\\b":2})",
+        R"({"\u0001":1,"\n":2,"a":"nan","b":"-inf"})",
+        R"({"a":0.10000000000000001,"b":1e+17,"c":1000})",
+        "{\"\xc3\xa9\":18446744073709551615,\"\xf0\x9f\x98\x80\":-5}"}) {
+    EXPECT_TRUE(reply_parses_within_reference(result(metrics))) << metrics;
+  }
+  // Keys ascend by byte, as std::map orders them: 'B' < 'a' < '\xc3'.
+  EXPECT_TRUE(reply_parses_within_reference(
+      result("{\"B\":1,\"a\":2,\"\xc3\xa9\":3}")));
+  EXPECT_FALSE(reply_parses_within_reference(
+      result("{\"\xc3\xa9\":1,\"a\":2}")));
+}
+
+TEST(ProtocolReference, RepliesCarryEachKeyAtMostOnce) {
+  Reply reply;
+  std::string error;
+  for (const std::string_view frame :
+       {R"({"type":"pong","type":"pong"})",
+        R"({"type":"pong","id":"a","id":"a"})",
+        R"({"type":"error","code":"x","retriable":true,"retriable":false})",
+        R"({"type":"result","cycles":1,"cycles":2})"}) {
+    EXPECT_FALSE(Reply::parse(frame, reply, error)) << frame;
+    EXPECT_TRUE(ref::parse_reply(frame, reply, error)) << frame;
+  }
+}
+
+TEST(ProtocolReference, RequestsGetTheReferenceVerdictAndValue) {
+  Request full;
+  full.type = RequestType::kSubmit;
+  full.id = "job-42";
+  full.asm_source = "loop:\n  addi r1, r1, 1\n  beq r0, r0, loop\n";
+  full.policy = "oracle";
+  full.max_cycles = 123456;
+  full.wall_ms = 1500;
+  full.interval = 64;
+  full.confirm = 3;
+  full.lookahead = true;
+  full.seed = 7;
+  full.config = {{"fetch_width", 8.0}, {"use_dcache", 1.0}};
+  const Request multi = submit_multi(
+      {kernel_entry("fib"), elf_entry("rv32_int", "greedy")}, "prop-share",
+      "m");
+  for (const std::string_view frame : {
+           // Lenient: unknown keys skipped whatever their value, repeated
+           // keys keep the first value, arbiter read only with multi.
+           R"({"type":"ping","future":{"a":[1,{"b":null}],"c":"é"}})",
+           R"({"type":"submit","kernel":"fib","kernel":5})",
+           R"({"type":"submit","kernel":5,"kernel":"fib"})",
+           R"({"type":"ping","type":"submit"})",
+           R"({"type":"submit","kernel":"fib","arbiter":5})",
+           R"({"type":"submit","multi":[],"arbiter":5})",
+           R"({"type":"submit","multi":[],"arbiter":"x","arbiter":5})",
+           R"({"arbiter":"p","multi":[{"kernel":"a","x":[],"kernel":1}],)"
+           R"("type":"submit"})",
+           R"({"type":"submit","multi":[{"elf":"e","policy":"greedy"},{}]})",
+           R"({"type":"submit","multi":[1]})",
+           R"({"type":"submit","multi":{}})",
+           R"({"type":"submit","multi":[{"policy":7}]})",
+           R"({"type":"submit","config":{"b":2,"a":1,"b":"x"}})",
+           R"({"type":"submit","config":{"b":"x","a":1,"b":2}})",
+           R"({"type":"submit","config":{"z":1e2,"a":-0.5,)"
+           R"("m":18446744073709551615}})",
+           R"({"type":"submit","config":[]})",
+           R"({"type":"submit","config":{}})",
+           // Scalar kinds and number readings.
+           R"({"type":"submit","max_cycles":1e3,"seed":5.0,"wall_ms":-0.0})",
+           R"({"type":"submit","max_cycles":-0})",
+           R"({"type":"submit","max_cycles":1.5})",
+           R"({"type":"submit","max_cycles":9007199254740993})",
+           R"({"type":"submit","max_cycles":18446744073709551616})",
+           R"({"type":"submit","max_cycles":"7"})",
+           R"({"type":"submit","lookahead":1})",
+           R"({"type":"submit","lookahead":false,"lookahead":1})",
+           R"({"type":"submit","id":null})",
+           R"({"type":"ping","id":"😀"})",
+           // Shape.
+           " \t\r\n{ \"type\" : \"stats\" } \n", R"({"type":""})", "{}",
+           R"({"type":5})", R"({"type":"halt"})", "[]", "null", "7", "",
+           R"({"type":"ping"})" R"({"type":"ping"})", R"({"type":"ping",})",
+           // Malformed numbers and over-deep nesting fail on both sides.
+           R"({"type":"submit","kernel":"fib","max_cycles":7-3})",
+           R"({"type":"submit","kernel":"fib","max_cycles":--5})",
+           R"({"type":"submit","kernel":"fib","seed":1e})"}) {
+    expect_request_matches_reference(frame);
+  }
+  expect_request_matches_reference(R"({"type":"ping","x":)" +
+                                   std::string(kMaxJsonDepth, '[') +
+                                   std::string(kMaxJsonDepth, ']') + "}");
+  for (const Request& request : {full, multi}) {
+    const std::string frame = request.to_json();
+    expect_request_matches_reference(frame);
+    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutant = frame;
+        mutant[byte] = static_cast<char>(mutant[byte] ^ (1 << bit));
+        expect_request_matches_reference(mutant);
+      }
+    }
+  }
+}
+
+TEST(ProtocolReference, MalformedNumbersFailInsteadOfReadingAsOthers) {
+  // Each of these used to run: max_cycles 7, max_cycles 0 (the server's
+  // default budget), seed 1. The server answers a parse failure with
+  // bad_request.
+  Request request;
+  std::string error;
+  for (const std::string_view frame :
+       {R"({"type":"submit","kernel":"fib","max_cycles":7-3})",
+        R"({"type":"submit","kernel":"fib","max_cycles":--5})",
+        R"({"type":"submit","kernel":"fib","seed":1e})"}) {
+    EXPECT_FALSE(Request::parse(frame, request, error)) << frame;
+    EXPECT_EQ(error, "malformed JSON frame");
+  }
+  Reply reply;
+  EXPECT_FALSE(Reply::parse(R"({"type":"result","cycles":1-0})", reply,
+                            error));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
 // Self-hosts a SimService + SocketServer on a private socket, then throws
 // N seeded mutations of valid protocol frames at it: bit flips, span
 // deletions/duplications, junk insertion, digit-run inflation (the
-// "max_cycles": 99999... classics), truncation, frame concatenation and
-// embedded newlines. The contract under test is the server's worst-case
+// "max_cycles": 99999... classics), truncation, frame concatenation,
+// embedded newlines and an unknown key nesting hundreds of thousands of
+// arrays or objects deep. The contract under test is the server's worst-case
 // posture, not its parser's taste: for EVERY mutant the daemon must
 // either answer a typed error / normal reply or cleanly drop the
 // connection — never crash, never wedge. Each iteration chases the
@@ -94,7 +95,7 @@ std::string mutate(const std::vector<std::string>& corpus, Xoshiro256& rng) {
       rng.next_below(corpus.size()))];
   const std::uint64_t rounds = 1 + rng.next_below(3);
   for (std::uint64_t round = 0; round < rounds; ++round) {
-    switch (rng.next_below(8)) {
+    switch (rng.next_below(9)) {
       case 0: {  // bit flip
         if (frame.empty()) {
           break;
@@ -173,6 +174,25 @@ std::string mutate(const std::vector<std::string>& corpus, Xoshiro256& rng) {
         const std::size_t pos = static_cast<std::size_t>(
             rng.next_below(frame.size() + 1));
         frame.insert(pos, 1, '\n');
+        break;
+      }
+      case 8: {  // an unknown key whose value nests up to ~400k deep
+        // Two bytes a level for arrays, five for objects: the frame stays
+        // under the server's 1 MiB max_frame_bytes.
+        if (frame.size() > 100'000) {
+          break;
+        }
+        const bool arrays = rng.next_below(2) == 0;
+        const std::size_t depth = static_cast<std::size_t>(
+            1 + rng.next_below(arrays ? 400'000 : 160'000));
+        std::string nest = "\"nest\":";
+        nest.reserve(nest.size() + depth * (arrays ? 2 : 5) + 2);
+        for (std::size_t level = 0; level < depth; ++level) {
+          nest += arrays ? "[" : "{\"\":";
+        }
+        nest += arrays ? "" : "0";
+        nest.append(depth, arrays ? ']' : '}');
+        frame.insert(frame.empty() ? 0 : 1, nest + ",");
         break;
       }
     }
