@@ -10,7 +10,7 @@ namespace steersim {
 ConfigurationLoader::ConfigurationLoader(const LoaderParams& params,
                                          AllocationVector initial)
     : params_(params), allocation_(std::move(initial)),
-      target_(allocation_), requested_(allocation_) {
+      requested_(allocation_) {
   STEERSIM_EXPECTS(params.num_slots >= 1 &&
                    params.num_slots <= kMaxRfuSlots);
   STEERSIM_EXPECTS(params.cycles_per_slot >= 1);
@@ -19,7 +19,7 @@ ConfigurationLoader::ConfigurationLoader(const LoaderParams& params,
   for (unsigned i = 0; i < params_.num_slots; ++i) {
     quota_.set(i);
   }
-  refresh_target_regions();
+  refresh_target_regions(allocation_, allocation_.regions());
 }
 
 unsigned ConfigurationLoader::set_quota(SlotMask quota) {
@@ -57,7 +57,7 @@ unsigned ConfigurationLoader::set_quota(SlotMask quota) {
       hit = hit || barred_.test(region.base + i);
     }
     if (hit) {
-      allocation_.clear_span(region.base, region.len);
+      write_allocation().clear_span(region.base, region.len);
       ++evicted;
     }
   }
@@ -66,8 +66,12 @@ unsigned ConfigurationLoader::set_quota(SlotMask quota) {
   return evicted;
 }
 
-void ConfigurationLoader::refresh_target_regions() {
-  target_regions_ = target_.regions();
+void ConfigurationLoader::refresh_target_regions(
+    const AllocationVector& target,
+    const FixedVector<SlotRegion, kMaxRfuSlots>& regions) {
+  ++version_;
+  target_ = target;
+  target_regions_ = regions;
 }
 
 void ConfigurationLoader::request(const AllocationVector& target) {
@@ -89,14 +93,12 @@ void ConfigurationLoader::request(const AllocationVector& target) {
 
 void ConfigurationLoader::retarget() {
   if (unplaceable().none()) {
-    target_ = requested_;
-    refresh_target_regions();
+    refresh_target_regions(requested_, requested_.regions());
     return;
   }
-  unsigned dropped = 0;
-  target_ = place_avoiding_fence(requested_, &dropped);
-  refresh_target_regions();
-  stats_.units_dropped += dropped;
+  const Placement& placement = place_avoiding_fence(requested_);
+  refresh_target_regions(placement.placed, placement.regions);
+  stats_.units_dropped += placement.dropped;
   // Detected-damage slots the new target no longer covers will never see a
   // repair rewrite; their span was already cleared, so stop tracking them.
   if (repairing_.any()) {
@@ -110,13 +112,24 @@ void ConfigurationLoader::retarget() {
   }
 }
 
-AllocationVector ConfigurationLoader::place_avoiding_fence(
-    const AllocationVector& wanted, unsigned* dropped) const {
-  if (unplaceable().none()) {
-    return wanted;
+const ConfigurationLoader::Placement&
+ConfigurationLoader::place_avoiding_fence(
+    const AllocationVector& wanted) const {
+  const SlotMask avoid = unplaceable();
+  STEERSIM_EXPECTS(avoid.any());
+  for (const PlacementEntry& entry : placements_) {
+    if (entry.unplaceable == avoid && entry.wanted == wanted) {
+      return entry.placement;
+    }
   }
-  AllocationVector placed(params_.num_slots);
-  SlotMask used = unplaceable();
+  PlacementEntry& entry = placements_[placement_next_];
+  placement_next_ = (placement_next_ + 1) % kPlacementMemoEntries;
+  entry.wanted = wanted;
+  entry.unplaceable = avoid;
+  Placement& out = entry.placement;
+  out.placed = AllocationVector(params_.num_slots);
+  out.dropped = 0;
+  SlotMask used = avoid;
   for (const auto& region : wanted.regions()) {
     bool fits = false;
     for (unsigned base = 0; base + region.len <= params_.num_slots; ++base) {
@@ -127,18 +140,19 @@ AllocationVector ConfigurationLoader::place_avoiding_fence(
       if (!free) {
         continue;
       }
-      placed.write_region(SlotRegion{region.type, base, region.len});
+      out.placed.write_region(SlotRegion{region.type, base, region.len});
       for (unsigned i = 0; i < region.len; ++i) {
         used.set(base + i);
       }
       fits = true;
       break;
     }
-    if (!fits && dropped != nullptr) {
-      ++*dropped;
+    if (!fits) {
+      ++out.dropped;
     }
   }
-  return placed;
+  out.regions = out.placed.regions();
+  return out;
 }
 
 bool ConfigurationLoader::region_satisfied(const SlotRegion& region) const {
@@ -151,6 +165,33 @@ bool ConfigurationLoader::region_satisfied(const SlotRegion& region) const {
     }
   }
   return true;
+}
+
+unsigned ConfigurationLoader::unsatisfied_slots(
+    const FixedVector<SlotRegion, kMaxRfuSlots>& regions) const {
+  unsigned slots = 0;
+  for (const auto& region : regions) {
+    if (!region_satisfied(region)) {
+      slots += region.len;
+    }
+  }
+  return slots;
+}
+
+bool ConfigurationLoader::target_satisfied() const {
+  if (satisfied_version_ != version_) {
+    target_satisfied_ = unsatisfied_slots(target_regions_) == 0;
+    satisfied_version_ = version_;
+  }
+  return target_satisfied_;
+}
+
+unsigned ConfigurationLoader::used_slots() const {
+  if (used_version_ != version_) {
+    used_slots_ = allocation_.region_slots();
+    used_version_ = version_;
+  }
+  return used_slots_;
 }
 
 bool ConfigurationLoader::overlaps_active(unsigned base, unsigned len) const {
@@ -194,9 +235,7 @@ bool ConfigurationLoader::quiescent() const {
   if (params_.scrub_interval > 0 || params_.ecc) {
     return false;
   }
-  return std::ranges::all_of(target_regions_, [this](const SlotRegion& r) {
-    return region_satisfied(r);
-  });
+  return target_satisfied();
 }
 
 unsigned ConfigurationLoader::reconfig_cost(
@@ -207,14 +246,10 @@ unsigned ConfigurationLoader::reconfig_cost(
   // specifies and leaves leftover capacity in place (it can only help).
   // With fenced slots the cost is that of the *realizable* placement, so
   // selectors rank candidates by what they would actually get.
-  const AllocationVector placed = place_avoiding_fence(candidate);
-  unsigned cost = 0;
-  for (const auto& region : placed.regions()) {
-    if (!region_satisfied(region)) {
-      cost += region.len;
-    }
+  if (unplaceable().none()) {
+    return unsatisfied_slots(candidate.regions());
   }
-  return cost;
+  return unsatisfied_slots(place_avoiding_fence(candidate).regions);
 }
 
 const AllocationVector& ConfigurationLoader::effective_allocation() const {
@@ -222,8 +257,7 @@ const AllocationVector& ConfigurationLoader::effective_allocation() const {
   if (broken.none()) {
     return allocation_;
   }
-  if (effective_valid_ && broken == effective_broken_ &&
-      allocation_ == effective_base_) {
+  if (effective_version_ == version_ && broken == effective_broken_) {
     return effective_;
   }
   AllocationVector effective = allocation_;
@@ -243,9 +277,8 @@ const AllocationVector& ConfigurationLoader::effective_allocation() const {
     }
   }
   effective_broken_ = broken;
-  effective_base_ = allocation_;
+  effective_version_ = version_;
   effective_ = std::move(effective);
-  effective_valid_ = true;
   return effective_;
 }
 
@@ -288,11 +321,11 @@ bool ConfigurationLoader::fence_slot(unsigned slot) {
   // become free capacity for the re-placed target.
   for (const auto& region : allocation_.regions()) {
     if (slot >= region.base && slot < region.base + region.len) {
-      allocation_.clear_span(region.base, region.len);
+      write_allocation().clear_span(region.base, region.len);
       break;
     }
   }
-  allocation_.clear_span(slot, 1);
+  write_allocation().clear_span(slot, 1);
   retarget();
   return true;
 }
@@ -352,14 +385,14 @@ void ConfigurationLoader::escalate_corruption(unsigned slot) {
         }
       }
     }
-    allocation_.clear_span(region.base, region.len);
+    write_allocation().clear_span(region.base, region.len);
     break;
   }
   if (!in_region) {
     // Corrupted slot outside any complete unit (empty or a stray code):
     // detection rewrites it to empty on the spot — no port traffic.
     detect(slot);
-    allocation_.clear_span(slot, 1);
+    write_allocation().clear_span(slot, 1);
   }
 }
 
@@ -450,16 +483,45 @@ void ConfigurationLoader::step(SlotMask slot_busy) {
 }
 
 void ConfigurationLoader::step_partial(SlotMask slot_busy) {
-  // Start rewrites for unsatisfied target regions whose slots are idle.
   // Starting precedes the tick so a rewrite's first cycle is the cycle it
-  // begins (an N-cycle rewrite spans exactly N step() calls).
+  // begins (an N-cycle rewrite spans exactly N step() calls). A target
+  // known to be on the fabric starts nothing, so the region scan is
+  // skipped then. A stale memo is not refreshed first: the scan itself
+  // records a target it finds on the fabric, so a cycle after a change
+  // scans once.
+  if (satisfied_version_ != version_ || !target_satisfied_) {
+    start_rewrites(slot_busy);
+  }
+
+  // Tick in-flight rewrites; completed units come online.
+  for (auto it = active_.begin(); it != active_.end();) {
+    STEERSIM_ENSURES(it->remaining > 0);
+    if (--it->remaining == 0) {
+      write_allocation().write_region(it->region);
+      stats_.slots_rewritten += it->region.len;
+      finish_span_write(it->region.base, it->region.len);
+      trace_rewrite(it->region, it->start, cycle_ - it->start + 1);
+      it = active_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void ConfigurationLoader::start_rewrites(SlotMask slot_busy) {
+  // Start rewrites for unsatisfied target regions whose slots are idle.
   bool blocked = false;
+  bool all_satisfied = true;
   for (const auto& region : target_regions_) {
     if (active_.size() >= params_.max_concurrent_regions) {
+      all_satisfied = false;  // the rest went unchecked
       break;
     }
-    if (region_satisfied(region) ||
-        overlaps_active(region.base, region.len)) {
+    if (region_satisfied(region)) {
+      continue;
+    }
+    all_satisfied = false;
+    if (overlaps_active(region.base, region.len)) {
       continue;
     }
     // The region's own span must be idle...
@@ -488,14 +550,14 @@ void ConfigurationLoader::step_partial(SlotMask slot_busy) {
       const unsigned hi =
           std::min(current.base + current.len, region.base + region.len);
       if (lo < hi) {
-        allocation_.clear_span(current.base, current.len);
+        write_allocation().clear_span(current.base, current.len);
         begin_span_write(current.base, current.len);
       }
     }
-    allocation_.clear_span(region.base, region.len);
+    write_allocation().clear_span(region.base, region.len);
     begin_span_write(region.base, region.len);
     if (params_.instant) {
-      allocation_.write_region(region);
+      write_allocation().write_region(region);
       stats_.slots_rewritten += region.len;
       finish_span_write(region.base, region.len);
       trace_rewrite(region, cycle_, 0);
@@ -508,19 +570,10 @@ void ConfigurationLoader::step_partial(SlotMask slot_busy) {
   if (blocked) {
     ++stats_.blocked_cycles;
   }
-
-  // Tick in-flight rewrites; completed units come online.
-  for (auto it = active_.begin(); it != active_.end();) {
-    STEERSIM_ENSURES(it->remaining > 0);
-    if (--it->remaining == 0) {
-      allocation_.write_region(it->region);
-      stats_.slots_rewritten += it->region.len;
-      finish_span_write(it->region.base, it->region.len);
-      trace_rewrite(it->region, it->start, cycle_ - it->start + 1);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
+  if (all_satisfied) {
+    // Nothing started, so no write moved version_ during the scan.
+    target_satisfied_ = true;
+    satisfied_version_ = version_;
   }
 }
 
@@ -544,10 +597,7 @@ void ConfigurationLoader::trace_rewrite(const SlotRegion& region,
 
 void ConfigurationLoader::step_full(SlotMask slot_busy) {
   if (full_remaining_ == 0) {
-    const bool satisfied = std::ranges::all_of(
-        target_regions_,
-        [this](const SlotRegion& r) { return region_satisfied(r); });
-    if (satisfied) {
+    if (target_satisfied()) {
       return;
     }
     // Non-partial reconfiguration: the whole fabric is rewritten at once
@@ -560,14 +610,14 @@ void ConfigurationLoader::step_full(SlotMask slot_busy) {
       ++stats_.port_denied_cycles;
       return;
     }
-    allocation_.clear_span(0, params_.num_slots);
+    write_allocation().clear_span(0, params_.num_slots);
     begin_span_write(0, params_.num_slots);
     full_remaining_ = params_.cycles_per_slot * params_.num_slots;
     full_start_ = cycle_;
   }
   if (--full_remaining_ == 0) {
     for (const auto& region : target_regions_) {
-      allocation_.write_region(region);
+      write_allocation().write_region(region);
       stats_.slots_rewritten += region.len;
     }
     finish_span_write(0, params_.num_slots);

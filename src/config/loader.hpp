@@ -2,11 +2,16 @@
 //
 // Owns the resource allocation vector, tracks in-flight slot rewrites, and
 // steers the fabric toward the configuration chosen by the selection unit:
-// each cycle it diffs the chosen configuration against the current one and
-// begins (partially) reconfiguring unit regions whose slots are idle.
-// Busy slots are skipped — that is what makes the active configuration a
-// hybrid overlap of steering configurations. A non-partial mode reproduces
-// the [7]-style baseline where the whole fabric must be rewritten at once.
+// whenever a target region is not on the fabric, it begins (partially)
+// reconfiguring the unsatisfied regions whose slots are idle. Busy slots
+// are skipped — that is what makes the active configuration a hybrid
+// overlap of steering configurations. A non-partial mode reproduces the
+// [7]-style baseline where the whole fabric must be rewritten at once.
+//
+// The per-cycle questions — is every target region on the fabric, how many
+// slots hold units — are answered from memos recomputed only after the
+// allocation or the target changed: both have a single write path that
+// bumps a version number (docs/DESIGN.md §5, "Steer-stage memos").
 //
 // Fault extension (docs/FAULTS.md): configuration memory can suffer
 // transient upsets (a slot's bits silently corrupted) and permanent slot
@@ -153,8 +158,8 @@ class ConfigurationLoader {
   /// instruction ever issues to a broken unit. Fault-free (the hot case —
   /// this sat atop the cycle-loop profile as a per-cycle copy) it is
   /// `allocation()` itself; with fault state present the masked form is
-  /// memoized against the exact (allocation, broken-mask) inputs, so
-  /// repeated reads between slot writes cost one comparison. The returned
+  /// memoized against the loader version and the broken-slot mask, so
+  /// repeated reads between slot writes cost two comparisons. The returned
   /// reference is invalidated by any mutating loader call.
   const AllocationVector& effective_allocation() const;
 
@@ -166,6 +171,11 @@ class ConfigurationLoader {
   /// fault state, and no background machinery (scrubber, ECC) running.
   /// The processor's event-driven skip-ahead keys off this.
   bool quiescent() const;
+
+  /// Slots allocation() covers (allocation().region_slots()), recomputed
+  /// only after the allocation changed. The shared fabric sums it every
+  /// round.
+  unsigned used_slots() const;
 
   /// Replaces `cycles` quiescent step() calls (cycle-counter advance only).
   /// Caller must hold quiescent() true for the whole window.
@@ -226,21 +236,62 @@ class ConfigurationLoader {
     std::uint64_t start = 0;  ///< cycle_ when the rewrite began (tracing)
   };
 
+  /// A requested allocation re-placed around the unplaceable slots: the
+  /// placed vector, its region decode, and the units that fit nowhere.
+  struct Placement {
+    AllocationVector placed;
+    FixedVector<SlotRegion, kMaxRfuSlots> regions;
+    unsigned dropped = 0;
+  };
+  /// One placement memo entry. A default entry has a zero-slot `wanted`,
+  /// which no real request matches.
+  struct PlacementEntry {
+    AllocationVector wanted;
+    SlotMask unplaceable;
+    Placement placement;
+  };
+  /// Entries in the placement memo: the three presets plus a few
+  /// freeze-to-current requests under one quota.
+  static constexpr unsigned kPlacementMemoEntries = 8;
+
   /// True if `allocation_` already implements `region` exactly.
   bool region_satisfied(const SlotRegion& region) const;
+  /// Slots of `regions` not yet implemented by `allocation_`.
+  unsigned unsatisfied_slots(
+      const FixedVector<SlotRegion, kMaxRfuSlots>& regions) const;
+  /// True when every target region is on the fabric, recomputed only
+  /// after the allocation or the target changed. start_rewrites() also
+  /// records the answer when its scan finds every region on the fabric.
+  bool target_satisfied() const;
   /// True if any slot of [base, base+len) is part of an active rewrite.
   bool overlaps_active(unsigned base, unsigned len) const;
   void step_partial(SlotMask slot_busy);
+  /// step_partial's start phase: begins rewrites of unsatisfied target
+  /// regions whose slots are idle, up to the concurrency cap, and records
+  /// a target found wholly on the fabric in target_satisfied()'s memo.
+  void start_rewrites(SlotMask slot_busy);
   void step_full(SlotMask slot_busy);
 
-  /// Re-places `wanted`'s unit regions onto non-fenced, in-quota slots,
-  /// first fit in the candidate's own region order; units that fit nowhere
-  /// are dropped (counted into *dropped if given). Identity when nothing
-  /// is fenced and the quota is full.
-  AllocationVector place_avoiding_fence(const AllocationVector& wanted,
-                                        unsigned* dropped = nullptr) const;
-  /// Recomputes target_ from requested_ after the fence set grew.
+  /// Re-places `wanted`'s unit regions onto the placeable slots, first
+  /// fit in the candidate's own region order; units that fit nowhere are
+  /// dropped. Requires something unplaceable (callers keep the identity
+  /// case to themselves). Memoized on (wanted, unplaceable()) in a small
+  /// round-robin table, so retarget() and reconfig_cost() share results.
+  const Placement& place_avoiding_fence(const AllocationVector& wanted) const;
+  /// Recomputes target_ from requested_ (a new request, or the unplaceable
+  /// set changed).
   void retarget();
+  /// The one write path to allocation_: every mutation goes through the
+  /// returned reference, and the call bumps version_ first.
+  AllocationVector& write_allocation() {
+    ++version_;
+    return allocation_;
+  }
+  /// The one assignment path to target_: sets it and its region decode,
+  /// and bumps version_.
+  void refresh_target_regions(
+      const AllocationVector& target,
+      const FixedVector<SlotRegion, kMaxRfuSlots>& regions);
   /// A rewrite is about to lay fresh frames over [base, base+len): clears
   /// pre-existing corruption (the write replaces the bits).
   void begin_span_write(unsigned base, unsigned len);
@@ -257,9 +308,6 @@ class ConfigurationLoader {
   /// clears its span so the partial-reconfiguration path rewrites it, and
   /// marks target-covered slots as repairing.
   void escalate_corruption(unsigned slot);
-
-  /// Re-derives the cached region decode after any assignment to target_.
-  void refresh_target_regions();
 
   LoaderParams params_;
   AllocationVector allocation_;
@@ -291,13 +339,23 @@ class ConfigurationLoader {
   unsigned scrub_ptr_ = 0;        ///< next slot the readback pass visits
   std::uint64_t full_start_ = 0;  ///< full-reconfig start cycle (tracing)
 
+  /// Bumped by write_allocation() and refresh_target_regions(), the only
+  /// write paths to allocation_ and target_. A memo below is valid while
+  /// its recorded version equals this one (it starts past every memo's
+  /// initial version, so each memo computes on its first read).
+  std::uint64_t version_ = 1;
+  mutable std::uint64_t satisfied_version_ = 0;
+  mutable bool target_satisfied_ = false;
+  mutable std::uint64_t used_version_ = 0;
+  mutable unsigned used_slots_ = 0;
   /// effective_allocation() memo for the degraded path (fault state
-  /// present): self-validating against the exact inputs the masked form
-  /// was derived from, so no mutation site needs an invalidation hook.
-  mutable bool effective_valid_ = false;
+  /// present): valid for its version and the broken-slot mask it masked.
+  mutable std::uint64_t effective_version_ = 0;
   mutable SlotMask effective_broken_;
-  mutable AllocationVector effective_base_;
   mutable AllocationVector effective_;
+  /// place_avoiding_fence() memo; placement_next_ is the next victim.
+  mutable std::array<PlacementEntry, kPlacementMemoEntries> placements_;
+  mutable unsigned placement_next_ = 0;
 
   Tracer* tracer_ = nullptr;  ///< optional observer; never owns
   LoaderStats stats_;

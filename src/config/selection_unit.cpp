@@ -42,7 +42,41 @@ ConfigSelectionUnit::ConfigSelectionUnit(SteeringSet set, CemMode mode,
   STEERSIM_EXPECTS(set_.feasible());
   for (unsigned p = 0; p < kNumPresetConfigs; ++p) {
     preset_totals_[p] = set_.preset_total(p);
+    for (unsigned t = 0; t < kNumFuTypes; ++t) {
+      preset_shifts_[p][t] = static_cast<std::uint8_t>(cem_shift_amount(
+          static_cast<std::uint8_t>(
+              std::min<unsigned>(preset_totals_[p][t], 7))));
+    }
   }
+}
+
+template <typename Error>
+unsigned ConfigSelectionUnit::min_error_select(
+    const std::array<Error, kNumCandidates>& errors,
+    const std::array<unsigned, kNumCandidates>& reconfig_cost) const {
+  unsigned best = 0;
+  for (unsigned c = 1; c < kNumCandidates; ++c) {
+    const bool better = errors[c] < errors[best];
+    const bool tie = errors[c] == errors[best];
+    bool wins_tie = false;
+    switch (tie_break_) {
+      case TieBreak::kPaper:
+        // The current configuration (index 0) wins any tie it is part of;
+        // among tied presets the least reconfiguration wins.
+        wins_tie = best != 0 && reconfig_cost[c] < reconfig_cost[best];
+        break;
+      case TieBreak::kLeastReconfig:
+        wins_tie = reconfig_cost[c] < reconfig_cost[best];
+        break;
+      case TieBreak::kLowestIndex:
+        wins_tie = false;
+        break;
+    }
+    if (better || (tie && wins_tie)) {
+      best = c;
+    }
+  }
+  return best;
 }
 
 SelectionTrace ConfigSelectionUnit::select(
@@ -87,28 +121,7 @@ SelectionTrace ConfigSelectionUnit::select_counts(
 
   // Stage 4: minimal error selection.
   trace.costs = reconfig_cost;
-  unsigned best = 0;
-  for (unsigned c = 1; c < kNumCandidates; ++c) {
-    const bool better = trace.errors[c] < trace.errors[best];
-    const bool tie = trace.errors[c] == trace.errors[best];
-    bool wins_tie = false;
-    switch (tie_break_) {
-      case TieBreak::kPaper:
-        // The current configuration (index 0) wins any tie it is part of;
-        // among tied presets the least reconfiguration wins.
-        wins_tie = best != 0 && reconfig_cost[c] < reconfig_cost[best];
-        break;
-      case TieBreak::kLeastReconfig:
-        wins_tie = reconfig_cost[c] < reconfig_cost[best];
-        break;
-      case TieBreak::kLowestIndex:
-        wins_tie = false;
-        break;
-    }
-    if (better || (tie && wins_tie)) {
-      best = c;
-    }
-  }
+  const unsigned best = min_error_select(trace.errors, reconfig_cost);
   trace.selection = best;
   for (unsigned c = 0; c < kNumCandidates; ++c) {
     trace.tie_broken =
@@ -116,6 +129,31 @@ SelectionTrace ConfigSelectionUnit::select_counts(
         (c != best && trace.errors[c] == trace.errors[best]);
   }
   return trace;
+}
+
+unsigned ConfigSelectionUnit::select_index(
+    const FuCounts& required, const FuCounts& current_total,
+    const std::array<unsigned, kNumCandidates>& reconfig_cost) const {
+  if (mode_ == CemMode::kExactDivide) {
+    std::array<double, kNumCandidates> errors{};
+    errors[0] = cem_error_exact(required, current_total);
+    for (unsigned p = 0; p < kNumPresetConfigs; ++p) {
+      errors[p + 1] = cem_error_exact(required, preset_totals_[p]);
+    }
+    return min_error_select(errors, reconfig_cost);
+  }
+  // Shift mode: cem_error_approx with the presets' shifts precomputed.
+  std::array<unsigned, kNumCandidates> errors{};
+  errors[0] = cem_error_approx(required, current_total);
+  for (unsigned p = 0; p < kNumPresetConfigs; ++p) {
+    unsigned sum = 0;
+    for (unsigned t = 0; t < kNumFuTypes; ++t) {
+      sum += static_cast<unsigned>(required[t] & 0b111) >>
+             preset_shifts_[p][t];
+    }
+    errors[p + 1] = sum & 0b111;
+  }
+  return min_error_select(errors, reconfig_cost);
 }
 
 }  // namespace steersim

@@ -129,17 +129,40 @@ class ConfigSelectionUnit {
                                const std::array<unsigned, kNumCandidates>&
                                    reconfig_cost) const;
 
+  /// Stage 4's 2-bit output for the same inputs, without building a
+  /// SelectionTrace: always equal to select_counts(...).selection. This is
+  /// the steering policy's per-cycle decision. In shift mode the errors are
+  /// integer sums of shifted counts, with the presets' shift amounts fixed
+  /// at construction and Config 0's derived from `current_total`; exact
+  /// mode evaluates cem_error_exact as select_counts does.
+  unsigned select_index(const FuCounts& required,
+                        const FuCounts& current_total,
+                        const std::array<unsigned, kNumCandidates>&
+                            reconfig_cost) const;
+
   const SteeringSet& steering_set() const { return set_; }
   CemMode mode() const { return mode_; }
   TieBreak tie_break() const { return tie_break_; }
 
  private:
+  /// Stage 4: the minimal-error candidate under tie_break_, for errors of
+  /// any ordered type (select_counts passes doubles, select_index passes
+  /// the shift mode's integers).
+  template <typename Error>
+  unsigned min_error_select(
+      const std::array<Error, kNumCandidates>& errors,
+      const std::array<unsigned, kNumCandidates>& reconfig_cost) const;
+
   SteeringSet set_;
   CemMode mode_;
   TieBreak tie_break_;
   /// set_.preset_total(p) for every preset: the CEM inputs of candidates
   /// 1..3, fixed for the unit's lifetime.
   std::array<FuCounts, kNumPresetConfigs> preset_totals_{};
+  /// cem_shift_amount of each preset total (Fig. 3c), per type: the
+  /// presets' barrel-shifter settings, fixed like their totals.
+  std::array<std::array<std::uint8_t, kNumFuTypes>, kNumPresetConfigs>
+      preset_shifts_{};
 };
 
 }  // namespace steersim

@@ -48,18 +48,25 @@ FuCounts SteeredPolicy::merged_requirements(const SteerContext& ctx) const {
   return required;
 }
 
-const SelectionTrace& SteeredPolicy::cached_selection(
+unsigned SteeredPolicy::decide(
     const FuCounts& required, const FuCounts& current_total,
     const std::array<unsigned, kNumCandidates>& cost) {
-  if (!have_selection_ || required != sel_required_ ||
-      current_total != sel_total_ || cost != sel_cost_) {
-    sel_required_ = required;
-    sel_total_ = current_total;
-    sel_cost_ = cost;
-    sel_trace_ = unit_.select_counts(required, current_total, cost);
-    have_selection_ = true;
+  if (!decision_.valid || required != decision_.required ||
+      current_total != decision_.current_total || cost != decision_.cost) {
+    decision_ = Decision{required, current_total, cost,
+                         unit_.select_index(required, current_total, cost),
+                         true};
   }
-  return sel_trace_;
+  return decision_.selection;
+}
+
+SelectionTrace SteeredPolicy::observed_selection(
+    const FuCounts& required, const FuCounts& current_total,
+    const std::array<unsigned, kNumCandidates>& cost,
+    unsigned selection) const {
+  SelectionTrace trace = unit_.select_counts(required, current_total, cost);
+  STEERSIM_ENSURES(trace.selection == selection);
+  return trace;
 }
 
 void SteeredPolicy::steer(const SteerContext& ctx,
@@ -72,24 +79,23 @@ void SteeredPolicy::steer(const SteerContext& ctx,
 
   const std::array<unsigned, kNumCandidates>& cost = candidate_costs(loader);
   const FuCounts required = merged_requirements(ctx);
-  const SelectionTrace& trace =
-      cached_selection(required, ctx.current_total, cost);
+  const unsigned selection = decide(required, ctx.current_total, cost);
   ++stats_.steer_events;
-  ++stats_.selections[trace.selection];
+  ++stats_.selections[selection];
 
   // Hysteresis extension: a non-current selection only takes effect after
   // `confirm_` consecutive identical decisions.
-  if (trace.selection == pending_selection_) {
+  if (selection == pending_selection_) {
     ++pending_streak_;
   } else {
-    pending_selection_ = trace.selection;
+    pending_selection_ = selection;
     pending_streak_ = 1;
   }
   AuditIntent intent = AuditIntent::kHold;
-  if (trace.selection != 0) {
+  if (selection != 0) {
     if (pending_streak_ >= confirm_) {
       intent = AuditIntent::kRetarget;
-      loader.request(preset_allocs_[trace.selection - 1]);
+      loader.request(preset_allocs_[selection - 1]);
     } else {
       intent = AuditIntent::kAwaitConfirm;
     }
@@ -99,6 +105,11 @@ void SteeredPolicy::steer(const SteerContext& ctx,
     loader.request(loader.allocation());
   }
 
+  if (audit_ == nullptr && tracer_ == nullptr) {
+    return;
+  }
+  const SelectionTrace trace =
+      observed_selection(required, ctx.current_total, cost, selection);
   if (audit_ != nullptr) {
     AuditRecord rec;
     rec.cycle = ctx.cycle;
@@ -151,9 +162,8 @@ std::uint64_t SteeredPolicy::idle_advance(std::uint64_t max_cycles,
   // the window, so all decisions in it are identical.
   const std::array<unsigned, kNumCandidates>& cost = candidate_costs(loader);
   const FuCounts required = merged_requirements(ctx);
-  const SelectionTrace& trace =
-      cached_selection(required, ctx.current_total, cost);
-  if (trace.selection != 0 || loader.requested() != loader.allocation()) {
+  const unsigned selection = decide(required, ctx.current_total, cost);
+  if (selection != 0 || loader.requested() != loader.allocation()) {
     // The decision would (or could, via the freeze-to-current request)
     // retarget the loader: stop right before the decision cycle.
     const std::uint64_t skipped = countdown_;
@@ -174,6 +184,8 @@ std::uint64_t SteeredPolicy::idle_advance(std::uint64_t max_cycles,
     // Replay the per-decision trace instants the live loop would have
     // emitted, at the exact decision cycles with the exact streak values,
     // so a traced skipped run parses identically to a stepped one.
+    const SelectionTrace trace =
+        observed_selection(required, ctx.current_total, cost, selection);
     const unsigned streak_base =
         pending_selection_ == 0 ? pending_streak_ : 0;
     const std::string_view intent = audit_intent_name(AuditIntent::kHold);

@@ -30,7 +30,8 @@ struct SteerContext {
   FuCounts current_total{};
   /// Pre-decoded unit requirements of the trace line about to be fetched
   /// (the [7]-style trace-cache annotation), or nullptr when the next
-  /// fetch is not a trace hit. Enables lookahead steering.
+  /// fetch is not a trace hit or the policy does not read it
+  /// (SteeringPolicy::reads_lookahead()). Enables lookahead steering.
   const FuCounts* lookahead = nullptr;
   /// Current simulation cycle (timestamps trace/audit observations).
   std::uint64_t cycle = 0;
@@ -79,6 +80,10 @@ class SteeringPolicy {
     return 0;
   }
 
+  /// True if steer() reads SteerContext::lookahead. The processor probes
+  /// the trace cache for it only when this holds.
+  virtual bool reads_lookahead() const { return false; }
+
   const PolicyStats& stats() const { return stats_; }
 
   /// Attaches the cycle tracer and steering audit log (either may be
@@ -111,6 +116,7 @@ class SteeredPolicy final : public SteeringPolicy {
   std::uint64_t idle_advance(std::uint64_t max_cycles,
                              const SteerContext& ctx,
                              ConfigurationLoader& loader) override;
+  bool reads_lookahead() const override { return lookahead_; }
   const ConfigSelectionUnit& selection_unit() const { return unit_; }
 
  private:
@@ -122,11 +128,19 @@ class SteeredPolicy final : public SteeringPolicy {
   /// `ctx.required`, plus the upcoming trace line's requirements when
   /// lookahead steering is on.
   FuCounts merged_requirements(const SteerContext& ctx) const;
-  /// CEM selection for (required, current_total, costs), memoized on its
-  /// exact inputs (between reconfigurations every input is stable).
-  const SelectionTrace& cached_selection(
+  /// unit_.select_index(required, current_total, cost), memoized on those
+  /// exact inputs: about half of sim_phased's decisions repeat the
+  /// previous one's.
+  unsigned decide(const FuCounts& required, const FuCounts& current_total,
+                  const std::array<unsigned, kNumCandidates>& cost);
+  /// The full four-stage trace behind `selection` (the errors and costs
+  /// an audit record or steer trace event reports), built only when an
+  /// observer is attached. Ensures select_counts agrees with the
+  /// trace-free decision.
+  SelectionTrace observed_selection(
       const FuCounts& required, const FuCounts& current_total,
-      const std::array<unsigned, kNumCandidates>& cost);
+      const std::array<unsigned, kNumCandidates>& cost,
+      unsigned selection) const;
 
   ConfigSelectionUnit unit_;
   std::array<AllocationVector, kNumPresetConfigs> preset_allocs_;
@@ -141,11 +155,15 @@ class SteeredPolicy final : public SteeringPolicy {
   AllocationVector cost_alloc_;
   SlotMask cost_avoid_;
   std::array<unsigned, kNumCandidates> cost_{};
-  bool have_selection_ = false;
-  FuCounts sel_required_{};
-  FuCounts sel_total_{};
-  std::array<unsigned, kNumCandidates> sel_cost_{};
-  SelectionTrace sel_trace_;
+  /// decide()'s memo: the last inputs and the selection they gave.
+  struct Decision {
+    FuCounts required{};
+    FuCounts current_total{};
+    std::array<unsigned, kNumCandidates> cost{};
+    unsigned selection = 0;
+    bool valid = false;
+  };
+  Decision decision_;
 };
 
 /// Extension (the paper's stated future work): dynamic reconfiguration

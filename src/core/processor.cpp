@@ -133,6 +133,7 @@ Processor::Processor(const Program& program, const MachineConfig& config,
                                                        tracer_.get())
                    : nullptr) {
   STEERSIM_EXPECTS(policy_ != nullptr);
+  probe_lookahead_ = trace_cache_ != nullptr && policy_->reads_lookahead();
   // Tracer/audit/sampler no longer veto skip-ahead: a proven-quiescent
   // window produces no per-cycle pipeline events, the policies replay (or
   // decline) their decision records bit-exactly (idle_advance), and
@@ -162,7 +163,8 @@ void Processor::fault(std::string message) {
 }
 
 bool Processor::valid_access(std::uint64_t addr, unsigned size) const {
-  if (addr + size > mem_.size()) {
+  // Written so that addr + size cannot wrap past the top of the space.
+  if (addr > mem_.size() || mem_.size() - addr < size) {
     return false;
   }
   return size == 1 || addr % 8 == 0;
@@ -532,8 +534,8 @@ SteerContext Processor::steer_context() const {
   ctx.current_total = engine_.configured_units();
   ctx.cycle = stats_.cycles;
   // Lookahead probe: the pre-decoded requirements of the trace line the
-  // fetch unit is about to stream, if it will hit.
-  if (trace_cache_ != nullptr) {
+  // fetch unit is about to stream, if it will hit and the policy reads it.
+  if (probe_lookahead_) {
     if (const TraceLine* line = trace_cache_->peek(fetch_.pc())) {
       ctx.lookahead = &line->requirements;
     }

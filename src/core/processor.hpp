@@ -291,6 +291,8 @@ class Processor {
   ExecutionEngine engine_;
   ConfigurationLoader loader_;
   std::unique_ptr<SteeringPolicy> policy_;
+  /// A trace cache exists and the policy reads SteerContext::lookahead.
+  bool probe_lookahead_ = false;
   FaultInjector injector_;
   std::unique_ptr<RecoveryManager> recovery_;
   std::unique_ptr<Tracer> tracer_;

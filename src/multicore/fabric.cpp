@@ -145,7 +145,7 @@ void SharedFabric::repartition(std::uint64_t cycle,
 void SharedFabric::end_cycle(std::span<Processor* const> cores) {
   unsigned used = 0;
   for (const Processor* cpu : cores) {
-    used += cpu->loader().allocation().region_slots();
+    used += cpu->loader().used_slots();
   }
   stats_.slot_cycles_used += used;
   stats_.slot_cycles_total += num_slots_;

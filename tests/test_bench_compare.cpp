@@ -7,6 +7,7 @@
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "sim/bench_compare.hpp"
 
@@ -110,7 +111,10 @@ TEST(BenchCompare, UnparseableCandidateIsARegression) {
 
 TEST(BenchCompare, DirectoriesCompareByFileNameWithMissingAsRegression) {
   namespace fs = std::filesystem;
-  const fs::path base = fs::temp_directory_path() / "steersim_bc_test";
+  // Per-process names: concurrent test runs share the temp directory.
+  const fs::path base =
+      fs::temp_directory_path() /
+      ("steersim_bc_test_" + std::to_string(static_cast<long>(::getpid())));
   fs::remove_all(base);
   fs::create_directories(base / "a");
   fs::create_directories(base / "b");
@@ -140,7 +144,9 @@ TEST(BenchCompare, DirectoriesCompareByFileNameWithMissingAsRegression) {
 
 TEST(BenchCompare, EmptyBaselineDirectoryWarns) {
   namespace fs = std::filesystem;
-  const fs::path base = fs::temp_directory_path() / "steersim_bc_empty";
+  const fs::path base =
+      fs::temp_directory_path() /
+      ("steersim_bc_empty_" + std::to_string(static_cast<long>(::getpid())));
   fs::remove_all(base);
   fs::create_directories(base);
   const CompareReport report =

@@ -1,8 +1,12 @@
 // Unit tests for the configuration loader (Sec. 3.2): partial
 // reconfiguration timing, busy-slot skipping (the steering behaviour),
 // eviction of overlapping idle units, reconfiguration-cost computation,
-// target changes mid-flight, full-fabric mode, and the instant oracle mode.
+// target changes mid-flight, full-fabric mode, the instant oracle mode, and
+// the loader's memos against recomputations from scratch.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "config/loader.hpp"
@@ -345,6 +349,228 @@ TEST(Loader, StatsTrackTargetChanges) {
   EXPECT_EQ(loader.stats().targets_requested, 1u);
   loader.request(AllocationVector::place({0, 0, 1, 0, 0}, 8));
   EXPECT_EQ(loader.stats().targets_requested, 2u);
+}
+
+// --- Memo oracle -------------------------------------------------------
+// The loader answers quiescent(), used_slots(), target() and
+// reconfig_cost() from memos (a version number bumped on every allocation
+// write and target assignment, and a placement table). These reference
+// functions recompute each answer from the loader's public state alone.
+
+/// First-fit re-placement of `wanted`'s regions around `avoid`, in the
+/// candidate's own region order; identity when nothing is avoided.
+AllocationVector reference_place(const AllocationVector& wanted,
+                                 SlotMask avoid) {
+  if (avoid.none()) {
+    return wanted;
+  }
+  const unsigned n = wanted.num_slots();
+  AllocationVector placed(n);
+  SlotMask used = avoid;
+  for (const SlotRegion& region : wanted.regions()) {
+    for (unsigned base = 0; base + region.len <= n; ++base) {
+      bool free = true;
+      for (unsigned i = 0; i < region.len; ++i) {
+        free = free && !used.test(base + i);
+      }
+      if (free) {
+        placed.write_region(SlotRegion{region.type, base, region.len});
+        for (unsigned i = 0; i < region.len; ++i) {
+          used.set(base + i);
+        }
+        break;
+      }
+    }
+  }
+  return placed;
+}
+
+bool reference_satisfied(const AllocationVector& alloc,
+                         const SlotRegion& region) {
+  if (alloc.code(region.base) != encoding_of(region.type)) {
+    return false;
+  }
+  for (unsigned i = 1; i < region.len; ++i) {
+    if (alloc.code(region.base + i) != kEncContinuation) {
+      return false;
+    }
+  }
+  return true;
+}
+
+unsigned reference_cost(const ConfigurationLoader& loader,
+                        const AllocationVector& candidate) {
+  unsigned cost = 0;
+  for (const SlotRegion& region :
+       reference_place(candidate, loader.unplaceable()).regions()) {
+    if (!reference_satisfied(loader.allocation(), region)) {
+      cost += region.len;
+    }
+  }
+  return cost;
+}
+
+bool reference_quiescent(const ConfigurationLoader& loader) {
+  if (!loader.idle() ||
+      (loader.corrupted() | loader.fenced() | loader.repairing()).any() ||
+      loader.params().scrub_interval > 0 || loader.params().ecc) {
+    return false;
+  }
+  for (const SlotRegion& region : loader.target().regions()) {
+    if (!reference_satisfied(loader.allocation(), region)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The allocation with every region touching a broken slot, and every
+/// broken slot, cleared.
+AllocationVector reference_effective(const ConfigurationLoader& loader) {
+  const SlotMask broken = loader.corrupted() | loader.fenced();
+  AllocationVector effective = loader.allocation();
+  for (const SlotRegion& region : loader.allocation().regions()) {
+    for (unsigned i = 0; i < region.len; ++i) {
+      if (broken.test(region.base + i)) {
+        effective.clear_span(region.base, region.len);
+        break;
+      }
+    }
+  }
+  for (unsigned slot = 0; slot < effective.num_slots(); ++slot) {
+    if (broken.test(slot)) {
+      effective.clear_span(slot, 1);
+    }
+  }
+  return effective;
+}
+
+/// A valid allocation with units of random types at random free bases
+/// (gaps included), so requests are not only the canonical presets.
+AllocationVector random_allocation(unsigned num_slots, Xoshiro256& rng) {
+  AllocationVector alloc(num_slots);
+  SlotMask used;
+  const std::uint64_t tries = rng.next_below(8);
+  for (std::uint64_t t = 0; t < tries; ++t) {
+    const auto type =
+        static_cast<FuType>(rng.next_below(kNumFuTypes));
+    const unsigned len = slot_cost(type);
+    const auto base = static_cast<unsigned>(rng.next_below(num_slots));
+    if (base + len > num_slots) {
+      continue;
+    }
+    bool free = true;
+    for (unsigned i = 0; i < len; ++i) {
+      free = free && !used.test(base + i);
+    }
+    if (!free) {
+      continue;
+    }
+    alloc.write_region(SlotRegion{type, base, len});
+    for (unsigned i = 0; i < len; ++i) {
+      used.set(base + i);
+    }
+  }
+  return alloc;
+}
+
+SlotMask random_mask(unsigned num_slots, Xoshiro256& rng, double p) {
+  SlotMask mask;
+  for (unsigned slot = 0; slot < num_slots; ++slot) {
+    mask.set(slot, rng.next_bool(p));
+  }
+  return mask;
+}
+
+TEST(LoaderMemo, EveryAnswerEqualsARecomputationFromScratch) {
+  struct Mode {
+    const char* name;
+    bool partial;
+    bool instant;
+  };
+  const Mode modes[] = {{"partial", true, false},
+                        {"full", false, false},
+                        {"instant", true, true}};
+  const SteeringSet set = default_steering_set();
+  constexpr unsigned kSlots = 8;
+  for (const Mode& mode : modes) {
+    for (const unsigned scrub : {0u, 5u}) {
+      for (const bool ecc : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+          SCOPED_TRACE(std::string(mode.name) + " scrub=" +
+                       std::to_string(scrub) + " ecc=" +
+                       std::to_string(ecc) + " seed=" +
+                       std::to_string(seed));
+          Xoshiro256 rng(seed * 7919 + scrub + (ecc ? 1 : 0));
+          LoaderParams p = params(1 + static_cast<unsigned>(rng.next_below(3)),
+                                  mode.partial,
+                                  1 + static_cast<unsigned>(rng.next_below(2)));
+          p.instant = mode.instant;
+          p.scrub_interval = scrub;
+          p.ecc = ecc;
+          ConfigurationLoader loader(p, random_allocation(kSlots, rng));
+          // More distinct requests than the placement memo holds.
+          std::vector<AllocationVector> pool;
+          for (unsigned i = 0; i < kNumPresetConfigs; ++i) {
+            pool.push_back(set.preset_allocation(i));
+          }
+          for (unsigned i = 0; i < 9; ++i) {
+            pool.push_back(random_allocation(kSlots, rng));
+          }
+          unsigned fences = 0;
+          for (int op = 0; op < 300; ++op) {
+            const std::uint64_t kind = rng.next_below(100);
+            std::string what;
+            if (kind < 20) {
+              what = "request";
+              loader.request(rng.next_bool(0.2)
+                                 ? loader.allocation()
+                                 : pool[rng.next_below(pool.size())]);
+            } else if (kind < 80) {
+              what = "step";
+              loader.step(rng.next_bool(0.4) ? SlotMask{}
+                                             : random_mask(kSlots, rng, 0.3));
+            } else if (kind < 88) {
+              what = "set_quota";
+              loader.set_quota(rng.next_bool(0.3)
+                                   ? random_mask(kSlots, rng, 1.0)
+                                   : random_mask(kSlots, rng, 0.6));
+            } else if (kind < 92) {
+              what = "fence_slot";
+              if (fences < 3 && loader.fence_slot(static_cast<unsigned>(
+                                    rng.next_below(kSlots)))) {
+                ++fences;
+              }
+            } else {
+              what = "corrupt_slot";
+              loader.corrupt_slot(
+                  static_cast<unsigned>(rng.next_below(kSlots)));
+            }
+            SCOPED_TRACE("op " + std::to_string(op) + " " + what);
+            ASSERT_EQ(loader.quiescent(), reference_quiescent(loader));
+            ASSERT_EQ(loader.used_slots(),
+                      loader.allocation().region_slots());
+            unsigned used = 0;
+            for (const SlotRegion& region : loader.allocation().regions()) {
+              used += region.len;
+            }
+            ASSERT_EQ(loader.used_slots(), used);
+            ASSERT_EQ(loader.target(),
+                      reference_place(loader.requested(),
+                                      loader.unplaceable()))
+                << loader.target().to_string();
+            for (unsigned i = 0; i < kNumPresetConfigs; ++i) {
+              ASSERT_EQ(loader.reconfig_cost(set.preset_allocation(i)),
+                        reference_cost(loader, set.preset_allocation(i)))
+                  << "preset " << i;
+            }
+            ASSERT_EQ(loader.effective_allocation(),
+                      reference_effective(loader));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -95,7 +95,88 @@ TEST(DataMemory, ResetClears) {
   EXPECT_EQ(mem.load_word(0), 0);
 }
 
+TEST(DataMemory, WholeRangeReadsZeroBeforeAnyStore) {
+  // 2.5 pages: the last page is partial.
+  const std::size_t size = DataMemory::kPageBytes * 5 / 2;
+  const DataMemory mem(size);
+  for (std::uint64_t addr = 0; addr < size; addr += 8) {
+    ASSERT_EQ(mem.load_word(addr), 0) << addr;
+  }
+  for (std::uint64_t addr = 0; addr < size; ++addr) {
+    ASSERT_EQ(mem.load_byte(addr), 0) << addr;
+  }
+}
+
+TEST(DataMemory, StoredThenZeroedEqualsUntouched) {
+  const std::size_t size = DataMemory::kPageBytes * 3;
+  const DataMemory untouched(size);
+  DataMemory mem(size);
+  EXPECT_TRUE(mem == untouched);
+  mem.store_word(DataMemory::kPageBytes + 16, 42);
+  mem.store_byte(2 * DataMemory::kPageBytes + 5, -1);
+  EXPECT_FALSE(mem == untouched);
+  EXPECT_FALSE(untouched == mem);
+  mem.store_word(DataMemory::kPageBytes + 16, 0);
+  EXPECT_FALSE(mem == untouched);  // the byte store still differs
+  mem.store_byte(2 * DataMemory::kPageBytes + 5, 0);
+  EXPECT_TRUE(mem == untouched);  // allocated pages of zeros == no pages
+  EXPECT_TRUE(untouched == mem);
+
+  // Two allocated pages compare by content.
+  DataMemory other(size);
+  other.store_word(DataMemory::kPageBytes + 16, 7);
+  mem.store_word(DataMemory::kPageBytes + 16, 7);
+  EXPECT_TRUE(mem == other);
+  other.store_byte(DataMemory::kPageBytes + 100, 1);
+  EXPECT_FALSE(mem == other);
+  EXPECT_FALSE(DataMemory(size) == DataMemory(size + 8));
+}
+
+TEST(DataMemory, ResetDropsEveryPage) {
+  DataMemory mem(DataMemory::kPageBytes * 2);
+  mem.store_word(0, 5);
+  mem.store_word(DataMemory::kPageBytes + 8, 6);
+  mem.reset();
+  EXPECT_EQ(mem.load_word(0), 0);
+  EXPECT_EQ(mem.load_word(DataMemory::kPageBytes + 8), 0);
+  EXPECT_TRUE(mem == DataMemory(DataMemory::kPageBytes * 2));
+  mem.store_word(8, 9);  // a dropped page comes back zeroed
+  EXPECT_EQ(mem.load_word(0), 0);
+  EXPECT_EQ(mem.load_word(8), 9);
+}
+
+TEST(DataMemory, WordsNeverStraddlePages) {
+  DataMemory mem(DataMemory::kPageBytes * 2);
+  const std::uint64_t last = DataMemory::kPageBytes - 8;
+  mem.store_word(last, -2);
+  mem.store_word(last + 8, 3);
+  EXPECT_EQ(mem.load_word(last), -2);
+  EXPECT_EQ(mem.load_word(last + 8), 3);
+  EXPECT_EQ(mem.load_byte(last + 7), -1);
+  EXPECT_EQ(mem.load_byte(last + 8), 3);
+}
+
 using DataMemoryDeathTest = ::testing::Test;
+
+TEST(DataMemoryDeathTest, PartialLastPageHonoursTheSizeBound) {
+  // The last page has whole storage, but only 104 of its bytes exist.
+  const std::size_t size = DataMemory::kPageBytes + 104;
+  DataMemory mem(size);
+  mem.store_word(size - 8, 11);
+  EXPECT_EQ(mem.load_word(size - 8), 11);
+  mem.store_byte(size - 1, 1);
+  EXPECT_DEATH(mem.load_word(size), "Expects");
+  EXPECT_DEATH(mem.store_word(size, 1), "Expects");
+  EXPECT_DEATH(mem.load_byte(size), "Expects");
+  EXPECT_DEATH(mem.store_byte(size + 7, 1), "Expects");
+}
+
+TEST(DataMemoryDeathTest, WrappingAddressAborts) {
+  // addr + 8 wraps to 0: the bound must not be computed as addr + 8.
+  DataMemory mem(64);
+  EXPECT_DEATH(mem.store_word(~std::uint64_t{7}, 1), "Expects");
+  EXPECT_DEATH(mem.load_word(~std::uint64_t{7}), "Expects");
+}
 
 TEST(DataMemoryDeathTest, OutOfRangeWordAborts) {
   DataMemory mem(64);

@@ -4,6 +4,7 @@
 // simulate() exactly), determinism of contended runs, retirement
 // conservation, and prop-share quota repartitioning invariants.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -293,7 +294,9 @@ TEST(MultiCore, MergedTraceIsDeterministicAndCoversEveryPid) {
     buf << in.rdbuf();
     return std::move(buf).str();
   };
-  const std::string base = testing::TempDir() + "steersim_mc_trace";
+  // Per-process name: concurrent test runs share TempDir().
+  const std::string base = testing::TempDir() + "steersim_mc_trace_" +
+                           std::to_string(static_cast<long>(::getpid()));
   const std::string a = trace_once(base + "_a.json");
   const std::string b = trace_once(base + "_b.json");
   EXPECT_EQ(a, b) << "same workloads, same bytes";

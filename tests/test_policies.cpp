@@ -44,6 +44,22 @@ TEST(SteeredPolicy, SelectingCurrentFreezesTarget) {
   EXPECT_EQ(loader.target(), loader.allocation());
 }
 
+TEST(SteeredPolicy, DecisionFollowsCostsWhenOnlyTheyChange) {
+  // Two FP-ALU ops against an empty current configuration: the memory and
+  // float presets tie on error (both provide two FP ALUs), so the least
+  // reconfiguration decides. Only the costs differ between the two
+  // decisions: the ready set and the current totals are the same.
+  const Opcode ops[] = {Opcode::kFadd, Opcode::kFadd};
+  const FuCounts empty{};
+  SteeredPolicy policy(kSet);
+  ConfigurationLoader on_memory(loader_params(), kSet.preset_allocation(1));
+  policy.steer(context(ops, empty), on_memory);
+  EXPECT_EQ(policy.stats().selections[2], 1u);
+  ConfigurationLoader on_float(loader_params(), kSet.preset_allocation(2));
+  policy.steer(context(ops, empty), on_float);
+  EXPECT_EQ(policy.stats().selections[3], 1u);
+}
+
 TEST(SteeredPolicy, IntervalThrottlesDecisions) {
   SteeredPolicy policy(kSet, CemMode::kShiftApprox, TieBreak::kPaper,
                        /*interval=*/4);

@@ -183,6 +183,41 @@ slot: .word 0
   EXPECT_EQ(cpu->registers().read_int(3), 0xFFL << 24);
 }
 
+/// Records whether steer() ever saw a trace-cache lookahead.
+class LookaheadProbe final : public SteeringPolicy {
+ public:
+  explicit LookaheadProbe(bool reads) : reads_(reads) {}
+  void steer(const SteerContext& ctx, ConfigurationLoader&) override {
+    saw_ = saw_ || ctx.lookahead != nullptr;
+  }
+  bool reads_lookahead() const override { return reads_; }
+  bool saw() const { return saw_; }
+
+ private:
+  bool reads_;
+  bool saw_ = false;
+};
+
+TEST(Processor, TraceCacheIsProbedOnlyForAPolicyThatReadsLookahead) {
+  // A hot loop: its trace line is cached and hit on every iteration.
+  const Program p = assemble(R"(
+  li r1, 200
+loop:
+  addi r2, r2, 3
+  addi r1, r1, -1
+  bne r1, r0, loop
+  halt
+)");
+  for (const bool reads : {true, false}) {
+    auto policy = std::make_unique<LookaheadProbe>(reads);
+    const LookaheadProbe& probe = *policy;
+    Processor cpu(p, small_machine(), std::move(policy));
+    ASSERT_EQ(cpu.run(100'000), RunOutcome::kHalted);
+    ASSERT_GT(cpu.trace_cache()->stats().hits, 0u);
+    EXPECT_EQ(probe.saw(), reads);
+  }
+}
+
 TEST(Processor, StallDetectionOnInfiniteLoop) {
   const Program p = assemble("spin:\n  j spin\n");
   auto cpu = make_processor(p, small_machine(), {});
@@ -194,6 +229,21 @@ TEST(Processor, StallDetectionOnInfiniteLoop) {
 TEST(Processor, FaultOnWildCommittedStore) {
   const Program p = assemble(R"(
   li r1, 123456789
+  sw r0, 0(r1)
+  halt
+)");
+  MachineConfig cfg = small_machine();
+  cfg.data_memory_bytes = 4096;
+  auto cpu = make_processor(p, cfg, {});
+  EXPECT_EQ(cpu->run(10'000), RunOutcome::kFault);
+  EXPECT_FALSE(cpu->fault_message().empty());
+}
+
+TEST(Processor, FaultOnStoreWhoseEndWrapsAroundTheAddressSpace) {
+  // r1 = -8 is address 2^64 - 8: addr + 8 wraps to 0, which a bound
+  // computed as addr + size <= memory size would let through.
+  const Program p = assemble(R"(
+  li r1, -8
   sw r0, 0(r1)
   halt
 )");

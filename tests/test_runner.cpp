@@ -1,6 +1,7 @@
 // Unit tests for the experiment harness: policy specs/labels, simulate()
 // result bundles, the parallel sweep runner, and table/CSV rendering.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -127,7 +128,10 @@ TEST(Report, OutcomeNames) {
 }
 
 TEST(Csv, QuotingAndRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/steersim_test.csv";
+  // Per-process name: concurrent test runs share TempDir().
+  const std::string path = ::testing::TempDir() + "/steersim_test_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".csv";
   {
     CsvWriter csv(path);
     csv.row({"a", "b,c", "d\"e"});

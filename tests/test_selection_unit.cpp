@@ -1,10 +1,12 @@
 // Unit tests for the configuration selection unit (Figs. 2 and 3): unit
 // decoders, requirement encoders, the shift-approximated CEM (exhaustive
-// comparison against the exact equation), and minimal-error selection with
-// every tie-break rule.
+// comparison against the exact equation), minimal-error selection with
+// every tie-break rule, and the trace-free decision against select_counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "config/circuit_cost.hpp"
@@ -334,6 +336,79 @@ TEST(Selection, TraceExposesAllFourStages) {
   EXPECT_EQ(trace.required[fu_index(FuType::kIntAlu)], 1);
   EXPECT_LT(trace.selection, kNumCandidates);
 }
+
+// select_index is the steering policy's per-cycle decision; select_counts
+// stays the reference it must equal. Every one of the 2^15 requirement
+// vectors, against each preset total, FFU-only and seeded random totals
+// (one past the 3-bit range, to reach the clamp), with seeded random costs
+// drawn from {0, 1, 2} so cost ties are common; every basis, plus a wide one.
+class SelectIndexOracle
+    : public ::testing::TestWithParam<std::tuple<CemMode, TieBreak>> {};
+
+TEST_P(SelectIndexOracle, EqualsSelectCountsOnEveryRequirementVector) {
+  const auto [mode, tie_break] = GetParam();
+  Xoshiro256 rng(0x5e1ec7 + static_cast<unsigned>(mode) * 3 +
+                 static_cast<unsigned>(tie_break));
+  std::vector<SteeringSet> bases = all_bases();
+  // A 16-slot basis whose presets exceed the 3-bit available count, so the
+  // presets' shift amounts go through the clamp too.
+  SteeringSet wide_basis = default_steering_set();
+  wide_basis.name = "wide16";
+  wide_basis.num_slots = 16;
+  wide_basis.presets[0][fu_index(FuType::kIntAlu)] = 12;
+  wide_basis.presets[1][fu_index(FuType::kLsu)] = 9;
+  bases.push_back(wide_basis);
+  for (const SteeringSet& set : bases) {
+    const ConfigSelectionUnit unit(set, mode, tie_break);
+    std::vector<FuCounts> totals;
+    for (unsigned p = 0; p < kNumPresetConfigs; ++p) {
+      totals.push_back(set.preset_total(p));
+    }
+    totals.push_back(set.ffu);
+    for (unsigned r = 0; r < 4; ++r) {
+      FuCounts total{};
+      for (auto& count : total) {
+        count = static_cast<std::uint8_t>(rng.next_below(8));
+      }
+      totals.push_back(total);
+    }
+    FuCounts wide{};
+    for (auto& count : wide) {
+      count = static_cast<std::uint8_t>(rng.next_below(10));
+    }
+    totals.push_back(wide);
+
+    unsigned mismatches = 0;
+    for (unsigned bits = 0; bits < (1u << 15); ++bits) {
+      FuCounts required{};
+      for (unsigned t = 0; t < kNumFuTypes; ++t) {
+        required[t] = static_cast<std::uint8_t>((bits >> (3 * t)) & 0b111);
+      }
+      for (const FuCounts& total : totals) {
+        std::array<unsigned, kNumCandidates> cost{};
+        for (auto& c : cost) {
+          c = static_cast<unsigned>(rng.next_below(3));
+        }
+        const unsigned got = unit.select_index(required, total, cost);
+        const unsigned want =
+            unit.select_counts(required, total, cost).selection;
+        if (got != want && ++mismatches <= 5) {
+          ADD_FAILURE() << set.name << " required=" << bits
+                        << " selection " << got << " != reference " << want;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << set.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryModeAndRule, SelectIndexOracle,
+    ::testing::Combine(::testing::Values(CemMode::kShiftApprox,
+                                         CemMode::kExactDivide),
+                       ::testing::Values(TieBreak::kPaper,
+                                         TieBreak::kLeastReconfig,
+                                         TieBreak::kLowestIndex)));
 
 }  // namespace
 }  // namespace steersim

@@ -3,20 +3,23 @@
 //
 //   $ proto_fuzz [--frames N] [--seed S] [--socket PATH]
 //
-// Self-hosts a SimService + SocketServer on a private socket, then throws
-// N seeded mutations of valid protocol frames at it: bit flips, span
-// deletions/duplications, junk insertion, digit-run inflation (the
-// "max_cycles": 99999... classics), truncation, frame concatenation,
-// embedded newlines and an unknown key nesting hundreds of thousands of
-// arrays or objects deep. The contract under test is the server's worst-case
-// posture, not its parser's taste: for EVERY mutant the daemon must
-// either answer a typed error / normal reply or cleanly drop the
-// connection — never crash, never wedge. Each iteration chases the
-// mutant with a uniquely-id'd ping on the same connection; because the
-// server answers frames in order, seeing that pong proves the mutant was
-// fully digested. EOF counts as a clean drop. Only a deadline expiry
-// (hang) or a dead server fails the run, with the offending iteration,
-// seed and mutant bytes printed for replay.
+// Forks a child process that hosts a SimService + SocketServer on a
+// private socket, then throws N seeded mutations of valid protocol frames
+// at it: bit flips, span deletions/duplications, junk insertion,
+// digit-run inflation (the "max_cycles": 99999... classics), truncation,
+// frame concatenation, embedded newlines and an unknown key nesting
+// hundreds of thousands of arrays or objects deep. The contract under
+// test is the server's worst-case posture, not its parser's taste: for
+// EVERY mutant the daemon must either answer a typed error / normal
+// reply or cleanly drop the connection — never crash, never wedge. Each
+// iteration chases the mutant with a uniquely-id'd ping on the same
+// connection; because the server answers frames in order, seeing that
+// pong proves the mutant was fully digested. EOF counts as a clean drop.
+// Only a deadline expiry (hang) or a dead server fails the run, with the
+// offending iteration, seed and mutant bytes printed for replay. The
+// daemon runs in its own process so that a crash kills only it: the
+// fuzzer then reaps it and prints the signal that ended it beside the
+// replay data.
 //
 // Exit codes: 0 all mutants handled, 1 hang/crash detected, 2 usage.
 #include <cstdio>
@@ -32,9 +35,12 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <thread>
 
 #include "svc/server.hpp"
@@ -305,6 +311,104 @@ void dump_mutant(const std::string& mutant) {
   std::fprintf(stderr, "\n");
 }
 
+/// The daemon process: hosts the service until a shutdown request. Writes
+/// one byte to `ready_fd` once it listens (closing it unwritten means the
+/// listen failed). Returns the process exit code.
+int serve_daemon(const std::string& socket_path, int ready_fd) {
+  // Small budgets keep even a mutant that parses into a *valid* submit
+  // cheap; a short idle timeout exercises the slowloris guard too.
+  ServiceConfig config;
+  config.workers = 2;
+  config.queue_capacity = 16;
+  config.cache_entries = 128;
+  config.default_max_cycles = 2'000;
+  config.max_cycles_ceiling = 20'000;
+  SimService service(config);
+  ServerOptions server_options;
+  server_options.socket_path = socket_path;
+  server_options.idle_timeout_ms = 2'000;
+  SocketServer server(service, server_options);
+  if (!server.listen()) {
+    ::close(ready_fd);
+    return 1;
+  }
+  const char ready = 1;
+  const bool told = ::write(ready_fd, &ready, 1) == 1;
+  ::close(ready_fd);
+  if (!told) {
+    return 1;
+  }
+  server.serve();
+  return 0;
+}
+
+/// The daemon child, reaped at most once. A fuzzer that gives up on a
+/// live child kills it on the way out.
+class Daemon {
+ public:
+  explicit Daemon(pid_t pid) : pid_(pid) {}
+  Daemon(const Daemon&) = delete;
+  Daemon& operator=(const Daemon&) = delete;
+  ~Daemon() {
+    if (!reaped_) {
+      ::kill(pid_, SIGKILL);
+      exited(5'000);
+    }
+  }
+
+  /// Reaps the child if it has exited, waiting up to `wait_ms` for it.
+  /// True once it is gone.
+  bool exited(int wait_ms) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(wait_ms);
+    while (!reaped_) {
+      const pid_t got = ::waitpid(pid_, &status_, WNOHANG);
+      if (got == pid_ || (got < 0 && errno != EINTR)) {
+        reaped_ = true;
+        break;
+      }
+      if (std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return reaped_;
+  }
+
+  /// How the reaped child ended, e.g. "killed by signal 6 (Aborted)".
+  std::string how() const {
+    if (WIFSIGNALED(status_)) {
+      const int sig = WTERMSIG(status_);
+      const char* name = ::strsignal(sig);
+      return "killed by signal " + std::to_string(sig) + " (" +
+             (name != nullptr ? name : "?") + ")";
+    }
+    if (WIFEXITED(status_)) {
+      return "exited with status " + std::to_string(WEXITSTATUS(status_));
+    }
+    return "ended";
+  }
+  bool clean_exit() const {
+    return reaped_ && WIFEXITED(status_) && WEXITSTATUS(status_) == 0;
+  }
+
+ private:
+  pid_t pid_;
+  int status_ = 0;
+  bool reaped_ = false;
+};
+
+/// The replay report for a daemon that died on the mutant of `iteration`.
+int report_death(const Daemon& daemon, std::uint64_t iteration,
+                 std::uint64_t seed, const std::string& mutant) {
+  std::fprintf(stderr,
+               "proto_fuzz: FAIL at iteration %llu (seed %llu): server %s\n",
+               static_cast<unsigned long long>(iteration),
+               static_cast<unsigned long long>(seed), daemon.how().c_str());
+  dump_mutant(mutant);
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -345,36 +449,57 @@ int main(int argc, char** argv) {
         "/tmp/steersim-fuzz-" + std::to_string(::getpid()) + ".sock";
   }
 
-  // Small budgets keep even a mutant that parses into a *valid* submit
-  // cheap; a short idle timeout exercises the slowloris guard too.
-  ServiceConfig config;
-  config.workers = 2;
-  config.queue_capacity = 16;
-  config.cache_entries = 128;
-  config.default_max_cycles = 2'000;
-  config.max_cycles_ceiling = 20'000;
-  SimService service(config);
-  ServerOptions server_options;
-  server_options.socket_path = socket_path;
-  server_options.idle_timeout_ms = 2'000;
-  SocketServer server(service, server_options);
-  if (!server.listen()) {
+  // Fork before any thread exists (the service starts its workers in the
+  // child), so the child is a clean single-threaded copy.
+  int ready[2];
+  if (::pipe(ready) != 0) {
+    std::perror("proto_fuzz: pipe");
     return 1;
   }
-  std::jthread serve_thread([&server] { server.serve(); });
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    std::perror("proto_fuzz: fork");
+    return 1;
+  }
+  if (pid == 0) {
+    ::close(ready[0]);
+    const int code = serve_daemon(socket_path, ready[1]);
+    std::fflush(nullptr);
+    ::_exit(code);
+  }
+  ::close(ready[1]);
+  Daemon daemon(pid);
+  char byte = 0;
+  ssize_t got = 0;
+  do {
+    got = ::read(ready[0], &byte, 1);
+  } while (got < 0 && errno == EINTR);
+  ::close(ready[0]);
+  if (got != 1) {
+    daemon.exited(5'000);
+    std::fprintf(stderr, "proto_fuzz: FAIL: server did not start (%s)\n",
+                 daemon.how().c_str());
+    return 1;
+  }
 
   const std::vector<std::string> corpus = build_corpus();
   Xoshiro256 rng(seed);
   std::uint64_t survived = 0;
   std::uint64_t dropped = 0;
   constexpr int kDeadlineMs = 5'000;
+  constexpr int kDropGraceMs = 20;
 
+  std::string last_mutant;  // the previous iteration's, for a late death
   for (std::uint64_t i = 0; i < frames; ++i) {
     const int fd = connect_to(socket_path);
     if (fd < 0) {
+      // The listener is gone: the previous mutant killed the daemon.
+      if (i > 0 && daemon.exited(kDeadlineMs)) {
+        return report_death(daemon, i - 1, seed, last_mutant);
+      }
       std::fprintf(stderr,
-                   "proto_fuzz: FAIL at iteration %llu: cannot connect "
-                   "(server died?)\n",
+                   "proto_fuzz: FAIL at iteration %llu: cannot connect\n",
                    static_cast<unsigned long long>(i));
       return 1;
     }
@@ -395,6 +520,12 @@ int main(int argc, char** argv) {
         ++survived;
         break;
       case Outcome::kDropped:
+        // A drop is a fine answer from a live daemon, and the only one a
+        // dying daemon gives: allow the dying one a moment to be reaped,
+        // so the death is pinned on this mutant (drops are rare).
+        if (daemon.exited(kDropGraceMs)) {
+          return report_death(daemon, i, seed, mutant);
+        }
         ++dropped;
         break;
       case Outcome::kHang:
@@ -406,11 +537,15 @@ int main(int argc, char** argv) {
         dump_mutant(mutant);
         return 1;
     }
+    last_mutant = mutant;
   }
 
   // Clean shutdown proves the daemon is still fully in control.
   const int fd = connect_to(socket_path);
   if (fd < 0) {
+    if (frames > 0 && daemon.exited(kDeadlineMs)) {
+      return report_death(daemon, frames - 1, seed, last_mutant);
+    }
     std::fprintf(stderr, "proto_fuzz: FAIL: server gone at shutdown\n");
     return 1;
   }
@@ -420,9 +555,13 @@ int main(int argc, char** argv) {
   send_all(fd, shutdown_request.to_json() + "\n");
   const Outcome outcome = await_pong(fd, "fz-shutdown", kDeadlineMs);
   ::close(fd);
-  serve_thread.join();
-  if (outcome == Outcome::kHang) {
+  if (outcome == Outcome::kHang || !daemon.exited(kDeadlineMs)) {
     std::fprintf(stderr, "proto_fuzz: FAIL: shutdown hung\n");
+    return 1;
+  }
+  if (!daemon.clean_exit()) {
+    std::fprintf(stderr, "proto_fuzz: FAIL: server %s at shutdown\n",
+                 daemon.how().c_str());
     return 1;
   }
   std::printf("proto_fuzz: %llu mutants, %llu answered, %llu dropped, "
