@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "sim/metrics.hpp"
@@ -117,20 +118,13 @@ inline const std::string& git_describe() {
   static const std::string described = [] {
     const auto run_describe = [](const std::string& command) {
       std::string out;
-#if defined(_WIN32)
-      std::FILE* pipe = nullptr;
-      (void)command;
-#else
       std::FILE* pipe = ::popen(command.c_str(), "r");
-#endif
       if (pipe != nullptr) {
         char buf[128];
         while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
           out += buf;
         }
-#if !defined(_WIN32)
         ::pclose(pipe);
-#endif
       }
       while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
         out.pop_back();
@@ -251,24 +245,12 @@ class BenchReport {
 
   /// FNV-1a over the bench id and config notes.
   std::string config_digest() const {
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](const std::string& s) {
-      for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-      }
-      h ^= 0xff;
-      h *= 1099511628211ull;
-    };
-    mix(bench_);
+    Fnv1a digest;
+    digest.mix(bench_);
     for (const auto& [key, value] : config_) {
-      mix(key);
-      mix(value);
+      digest.mix(key).mix(value);
     }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return digest.hex();
   }
 
   std::string to_json() const {

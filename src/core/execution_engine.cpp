@@ -103,78 +103,6 @@ void ExecutionEngine::recount() {
   }
 }
 
-bool ExecutionEngine::unit_busy(const UnitInstance& unit) const {
-  const auto matches = [&unit](const InFlight& f) {
-    return f.fixed == unit.fixed && f.base == unit.base &&
-           f.type == unit.type;
-  };
-  if (pipelined_) {
-    // Only the initiation interval blocks: one issue per unit per cycle.
-    return std::ranges::any_of(issued_this_cycle_, matches);
-  }
-  return std::ranges::any_of(in_flight_, matches);
-}
-
-ResourceVector ExecutionEngine::resource_vector(
-    const AllocationVector& rfu_allocation) const {
-  // Per-slot availability: a busy unit drives all of its slots low.
-  SlotMask rfu_avail;
-  for (unsigned i = 0; i < rfu_allocation.num_slots(); ++i) {
-    rfu_avail.set(i);
-  }
-  std::array<bool, kMaxResourceEntries> ffu_avail{};
-  std::size_t ffu_total = 0;
-  for (const FuType t : kAllFuTypes) {
-    for (unsigned n = 0; n < ffu_[fu_index(t)]; ++n) {
-      ffu_avail[ffu_total++] = true;
-    }
-  }
-  // In pipelined mode a unit's availability port stays high while it
-  // drains (it can accept a new operation next cycle); only the
-  // initiation interval drives it low.
-  const auto& occupying = pipelined_ ? issued_this_cycle_ : in_flight_;
-  for (const auto& f : occupying) {
-    if (f.fixed) {
-      // Locate the fixed unit's position in FuType-major order.
-      unsigned ordinal = 0;
-      for (const FuType t : kAllFuTypes) {
-        if (t == f.type) {
-          break;
-        }
-        ordinal += ffu_[fu_index(t)];
-      }
-      ffu_avail[ordinal + f.base] = false;
-    } else {
-      const unsigned len = slot_cost(f.type);
-      for (unsigned i = 0; i < len; ++i) {
-        rfu_avail.reset(f.base + i);
-      }
-    }
-  }
-  return ResourceVector::build(rfu_allocation, rfu_avail, ffu_,
-                               {ffu_avail.data(), ffu_total});
-}
-
-ResourceAvail ExecutionEngine::availability(
-    const AllocationVector& rfu_allocation) const {
-  const ResourceVector rv = resource_vector(rfu_allocation);
-  ResourceAvail avail{};
-  for (const FuType t : kAllFuTypes) {
-    avail[fu_index(t)] = rv.available(t);
-  }
-  return avail;
-}
-
-std::array<unsigned, kNumFuTypes> ExecutionEngine::free_units() const {
-  std::array<unsigned, kNumFuTypes> free{};
-  for (const auto& unit : units_) {
-    if (!unit_busy(unit)) {
-      ++free[fu_index(unit.type)];
-    }
-  }
-  return free;
-}
-
 FuCounts ExecutionEngine::configured_units() const { return unit_count_; }
 
 ExecutionEngine::IssueView ExecutionEngine::issue_view() const {
@@ -183,8 +111,8 @@ ExecutionEngine::IssueView ExecutionEngine::issue_view() const {
     const std::uint64_t idle = type_units_[t] & ~blocked_;
     view.free[t] = static_cast<unsigned>(std::popcount(idle));
     // Eq. 1: an idle fixed unit, or a head slot outside every blocked
-    // span (resource_vector semantics: a transiently truncated head still
-    // drives its type's availability line).
+    // span (a transiently truncated head still drives its type's
+    // availability line, as in ResourceVector::build).
     view.available[t] = (idle & type_fixed_[t]) != 0 ||
                         (head_slots_[t] & ~blocked_slots_).any();
   }

@@ -14,8 +14,8 @@
 // cannot accept an issue, updated by assign() and recomputed from the
 // in-flight list whenever an operation leaves it. The per-cycle queries
 // (issue_view, slot_busy, note_utilization) are then popcounts and mask
-// tests; resource_vector(), availability() and free_units() keep the
-// list-scanning definitions they are checked against.
+// tests, checked against list-scanning reference definitions that read
+// units() and occupying() (tests/engine_scan_ref.hpp).
 #pragma once
 
 #include <array>
@@ -84,27 +84,15 @@ class ExecutionEngine {
   /// rebuild (the common case between reconfigurations).
   void begin_cycle(const AllocationVector& rfu_allocation);
 
-  /// The per-cycle issue inputs from the occupancy masks: Eq. 1
-  /// availability lines plus idle-unit counts per type. Bit-identical to
-  /// availability() + free_units() for the allocation passed to the latest
-  /// begin_cycle() (incomplete head slots count toward availability
-  /// exactly as resource_vector() counts them).
+  /// The per-cycle issue inputs from the occupancy masks, for the
+  /// allocation passed to the latest begin_cycle(): the Eq. 1
+  /// availability lines (incomplete head slots count toward availability,
+  /// as ResourceVector::build counts them) plus idle-unit counts per type.
   struct IssueView {
     ResourceAvail available{};
     std::array<unsigned, kNumFuTypes> free{};
   };
   IssueView issue_view() const;
-
-  /// Eq. 1 resource vector for the current cycle (RFU slots + FFUs with
-  /// their availability signals).
-  ResourceVector resource_vector(const AllocationVector& rfu_allocation)
-      const;
-
-  /// Per-type availability lines feeding the wake-up array.
-  ResourceAvail availability(const AllocationVector& rfu_allocation) const;
-
-  /// Idle unit instances per type this cycle.
-  std::array<unsigned, kNumFuTypes> free_units() const;
 
   /// Total unit instances per type this cycle (for CEM "current" input,
   /// equal to loader counts + FFU counts).
@@ -146,10 +134,9 @@ class ExecutionEngine {
   const EngineStats& stats() const { return stats_; }
   const std::vector<UnitInstance>& units() const { return units_; }
 
- private:
-  /// Keyed by stable unit identity (fixed flag + base): busy RFU units are
-  /// never rewritten, so their base slot persists across cycles even as
-  /// the surrounding fabric changes.
+  /// One started operation. Keyed by stable unit identity (fixed flag +
+  /// base): busy RFU units are never rewritten, so their base slot
+  /// persists across cycles even as the surrounding fabric changes.
   struct InFlight {
     FuType type = FuType::kIntAlu;
     bool fixed = false;
@@ -157,8 +144,14 @@ class ExecutionEngine {
     unsigned remaining = 0;
     unsigned wakeup_row = 0;
   };
+  /// The operations whose units cannot accept an issue this cycle: those
+  /// in flight, or in pipelined mode those issued this cycle. Read by the
+  /// reference scans the occupancy masks are tested against.
+  const std::vector<InFlight>& occupying() const {
+    return pipelined_ ? issued_this_cycle_ : in_flight_;
+  }
 
-  bool unit_busy(const UnitInstance& unit) const;
+ private:
   /// Occupancy-mask bit of the unit `f` runs on (0 if no unit of units_
   /// has its identity).
   std::uint64_t unit_bit(const InFlight& f) const;

@@ -108,11 +108,17 @@ void SteeredPolicy::steer(const SteerContext& ctx,
   if (audit_ == nullptr && tracer_ == nullptr) {
     return;
   }
-  const SelectionTrace trace =
-      observed_selection(required, ctx.current_total, cost, selection);
+  observe(ctx.cycle, required,
+          observed_selection(required, ctx.current_total, cost, selection),
+          pending_streak_, intent, tracer_ != nullptr);
+}
+
+void SteeredPolicy::observe(std::uint64_t cycle, const FuCounts& required,
+                            const SelectionTrace& trace, unsigned streak,
+                            AuditIntent intent, bool traced) {
   if (audit_ != nullptr) {
     AuditRecord rec;
-    rec.cycle = ctx.cycle;
+    rec.cycle = cycle;
     rec.num_types = kNumFuTypes;
     rec.num_candidates = kNumCandidates;
     for (unsigned t = 0; t < kNumFuTypes; ++t) {
@@ -124,15 +130,15 @@ void SteeredPolicy::steer(const SteerContext& ctx,
     }
     rec.selection = trace.selection;
     rec.tie_broken = trace.tie_broken;
-    rec.streak = pending_streak_;
+    rec.streak = streak;
     rec.confirm = confirm_;
     rec.intent = intent;
     audit_->record(rec);
   }
-  if (tracer_ != nullptr) {
-    tracer_->instant_steer(ctx.cycle, trace.selection,
+  if (traced) {
+    tracer_->instant_steer(cycle, trace.selection,
                            trace.errors[trace.selection],
-                           trace.costs[trace.selection], pending_streak_,
+                           trace.costs[trace.selection], streak,
                            audit_intent_name(intent));
   }
 }
@@ -142,15 +148,6 @@ std::uint64_t SteeredPolicy::idle_advance(std::uint64_t max_cycles,
                                           ConfigurationLoader& loader) {
   if (max_cycles == 0) {
     return 0;
-  }
-  if (audit_ != nullptr) {
-    // The audit log wants a live record for every decision: advance only
-    // through the decision-free countdown prefix and stop right before
-    // the next decision cycle (degenerates to no skip at interval 1).
-    const std::uint64_t skipped =
-        std::min<std::uint64_t>(countdown_, max_cycles);
-    countdown_ -= static_cast<unsigned>(skipped);
-    return skipped;
   }
   // Countdown cycles are pure decrements.
   if (countdown_ >= max_cycles) {
@@ -179,20 +176,22 @@ std::uint64_t SteeredPolicy::idle_advance(std::uint64_t max_cycles,
       static_cast<unsigned>(interval_ - 1 - ((k - first - 1) % interval_));
   stats_.steer_events += d;
   stats_.selections[0] += d;
-  if (tracer_ != nullptr &&
-      tracer_->wants_span(trace_cat::kSteer, ctx.cycle + first, k - first)) {
-    // Replay the per-decision trace instants the live loop would have
-    // emitted, at the exact decision cycles with the exact streak values,
-    // so a traced skipped run parses identically to a stepped one.
+  const bool traced =
+      tracer_ != nullptr &&
+      tracer_->wants_span(trace_cat::kSteer, ctx.cycle + first, k - first);
+  if (audit_ != nullptr || traced) {
+    // Replay the per-decision audit records and trace instants the live
+    // loop would have emitted, at the exact decision cycles with the
+    // exact streak values, so an audited or traced skipped run reads
+    // identically to a stepped one.
     const SelectionTrace trace =
         observed_selection(required, ctx.current_total, cost, selection);
     const unsigned streak_base =
         pending_selection_ == 0 ? pending_streak_ : 0;
-    const std::string_view intent = audit_intent_name(AuditIntent::kHold);
     for (std::uint64_t i = 0; i < d; ++i) {
-      tracer_->instant_steer(ctx.cycle + first + i * interval_, 0,
-                             trace.errors[0], trace.costs[0],
-                             streak_base + i + 1, intent);
+      observe(ctx.cycle + first + i * interval_, required, trace,
+              streak_base + static_cast<unsigned>(i) + 1, AuditIntent::kHold,
+              traced);
     }
   }
   if (pending_selection_ == 0) {

@@ -141,6 +141,11 @@ class SteeredPolicy final : public SteeringPolicy {
       const FuCounts& required, const FuCounts& current_total,
       const std::array<unsigned, kNumCandidates>& cost,
       unsigned selection) const;
+  /// Hands the decision of `cycle` to the audit log (when attached) and,
+  /// with `traced`, to the tracer as a steer instant.
+  void observe(std::uint64_t cycle, const FuCounts& required,
+               const SelectionTrace& trace, unsigned streak,
+               AuditIntent intent, bool traced);
 
   ConfigSelectionUnit unit_;
   std::array<AllocationVector, kNumPresetConfigs> preset_allocs_;

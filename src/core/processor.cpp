@@ -309,8 +309,7 @@ void Processor::stage_faults() {
       // Checkpoint recovery treats a permanent failure as a rollback
       // trigger: the fence (and its re-placement) stands, but execution
       // restarts from the snapshot instead of limping on kill/retry.
-      if (recovery_ != nullptr && recovery_->params().rollback_on_permanent &&
-          recovery_->has_checkpoint()) {
+      if (recovery_ != nullptr && recovery_->has_checkpoint()) {
         rollback_pending_ = true;
       }
     } else {
@@ -816,8 +815,7 @@ void Processor::step() {
     const std::uint64_t uncorrectable = loader_.stats().ecc_uncorrectable;
     if (uncorrectable > ecc_uncorrectable_seen_) {
       ecc_uncorrectable_seen_ = uncorrectable;
-      if (recovery_->params().rollback_on_uncorrectable &&
-          recovery_->has_checkpoint()) {
+      if (recovery_->has_checkpoint()) {
         rollback_pending_ = true;
       }
     }

@@ -29,15 +29,13 @@
 
 namespace steersim {
 
+/// With recovery on, an accepted permanent slot failure and an
+/// uncorrectable ECC event escalated by the loader each roll the machine
+/// back to its last checkpoint.
 struct RecoveryParams {
   /// Cycles between architectural snapshots; 0 disables the subsystem
   /// entirely (the machine is then bit-identical to a build without it).
   unsigned checkpoint_interval = 0;
-  /// Roll back to the last checkpoint when a permanent slot failure is
-  /// accepted, instead of relying on kill/retry granularity alone.
-  bool rollback_on_permanent = true;
-  /// Roll back when the loader escalates an uncorrectable ECC event.
-  bool rollback_on_uncorrectable = true;
 
   bool enabled() const { return checkpoint_interval > 0; }
 };

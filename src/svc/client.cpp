@@ -1,19 +1,10 @@
 #include "svc/client.hpp"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <thread>
 #include <utility>
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#endif
 
 namespace steersim::svc {
 
@@ -58,9 +49,6 @@ Reply SteersimClient::call(const Request& request) {
     std::string error;
     if (!call_once(request, reply, error)) {
       last_error = error;
-      if (!options_.retry_transport) {
-        break;
-      }
       if (attempt + 1 < attempts) {
         ++stats_.retries_transport;
       }
@@ -80,170 +68,60 @@ Reply SteersimClient::call(const Request& request) {
                       /*retriable=*/true);
 }
 
-#if !defined(_WIN32)
-
-namespace {
-
-/// Milliseconds left until `deadline`, clamped into poll()'s int domain;
-/// 0 once the deadline has passed.
-int remaining_ms(std::chrono::steady_clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - std::chrono::steady_clock::now());
-  if (left.count() <= 0) {
-    return 0;
-  }
-  if (left.count() > 3'600'000) {
-    return 3'600'000;
-  }
-  return static_cast<int>(left.count());
-}
-
-}  // namespace
-
 void SteersimClient::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
-  inbuf_.clear();
+  reader_.clear();
 }
 
-bool SteersimClient::ensure_connected(std::string& error) {
-  if (fd_ >= 0) {
-    return true;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    error = "socket path too long: " + options_.socket_path;
-    return false;
-  }
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  // Nonblocking connect so a hung daemon costs connect_timeout_ms, not
-  // forever; the fd reverts to blocking afterwards (reads are paced by
-  // poll(), AF_UNIX writes virtually never block).
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    if (errno != EINPROGRESS && errno != EAGAIN) {
-      error = "connect " + options_.socket_path + ": " +
-              std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    const int ready = ::poll(
-        &pfd, 1, static_cast<int>(options_.connect_timeout_ms));
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (ready <= 0 ||
-        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0 ||
-        so_error != 0) {
-      error = "connect " + options_.socket_path +
-              (ready == 0 ? ": timed out"
-                          : std::string(": ") +
-                                std::strerror(so_error != 0 ? so_error
-                                                            : errno));
-      ::close(fd);
-      return false;
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);
-  fd_ = fd;
-  inbuf_.clear();
-  ++stats_.connects;
-  if (stats_.connects > 1) {
-    ++stats_.reconnects;
-  }
-  return true;
-}
-
-bool SteersimClient::send_line(const std::string& line, std::string& error) {
-  std::string_view data = line;
-  while (!data.empty()) {
-#if defined(MSG_NOSIGNAL)
-    const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::write(fd_, data.data(), data.size());
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      error = std::string("write: ") +
-              (n < 0 ? std::strerror(errno) : "connection closed");
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-bool SteersimClient::read_line(std::string& line, std::string& error) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.read_timeout_ms);
-  char chunk[4096];
-  while (true) {
-    const std::size_t newline = inbuf_.find('\n');
-    if (newline != std::string::npos) {
-      line = inbuf_.substr(0, newline);
-      inbuf_.erase(0, newline + 1);
+bool SteersimClient::read_reply(std::string_view& frame, std::string& error) {
+  switch (reader_.next(fd_, options_.read_timeout_ms, wire::Pace::kFrame,
+                       frame)) {
+    case wire::Read::kFrame:
       return true;
-    }
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, remaining_ms(deadline));
-    if (ready < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      error = std::string("poll: ") + std::strerror(errno);
-      return false;
-    }
-    if (ready == 0) {
+    case wire::Read::kTimeout:
       ++stats_.timeouts;
-      error = "no reply within " +
-              std::to_string(options_.read_timeout_ms) + " ms";
+      error = "no reply within " + std::to_string(options_.read_timeout_ms) +
+              " ms";
       return false;
-    }
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      error = n < 0 ? std::string("read: ") + std::strerror(errno)
-                    : "connection closed before a reply arrived";
+    case wire::Read::kTooLong:
+      error = "reply exceeds " + std::to_string(wire::kMaxFrameBytes) +
+              " bytes";
       return false;
-    }
-    inbuf_.append(chunk, static_cast<std::size_t>(n));
+    case wire::Read::kEof:
+      error = "connection closed before a reply arrived";
+      return false;
+    case wire::Read::kError:
+      error = reader_.error();
+      return false;
   }
+  return false;
 }
 
 bool SteersimClient::call_once(const Request& request, Reply& reply,
                                std::string& error) {
-  if (!ensure_connected(error)) {
-    return false;
+  if (fd_ < 0) {
+    fd_ = wire::connect_unix(options_.socket_path,
+                             options_.connect_timeout_ms, error);
+    if (fd_ < 0) {
+      return false;
+    }
+    ++stats_.connects;
+    if (stats_.connects > 1) {
+      ++stats_.reconnects;
+    }
   }
   ++stats_.attempts;
-  std::string line;
-  if (!send_line(request.to_json() + "\n", error) ||
-      !read_line(line, error)) {
+  std::string_view frame;
+  if (!wire::write_all(fd_, wire::encode(request.to_json()), error) ||
+      !read_reply(frame, error)) {
     close();
     return false;
   }
   std::string parse_error;
-  if (!Reply::parse(line, reply, parse_error)) {
+  if (!Reply::parse(frame, reply, parse_error)) {
     // A frame that does not parse is indistinguishable from corruption
     // in transit: treat it as a transport failure so the caller's retry
     // goes to a fresh connection.
@@ -253,31 +131,5 @@ bool SteersimClient::call_once(const Request& request, Reply& reply,
   }
   return true;
 }
-
-#else  // _WIN32
-
-void SteersimClient::close() {}
-
-bool SteersimClient::ensure_connected(std::string& error) {
-  error = "Unix domain sockets unavailable on this platform";
-  return false;
-}
-
-bool SteersimClient::send_line(const std::string&, std::string& error) {
-  error = "Unix domain sockets unavailable on this platform";
-  return false;
-}
-
-bool SteersimClient::read_line(std::string&, std::string& error) {
-  error = "Unix domain sockets unavailable on this platform";
-  return false;
-}
-
-bool SteersimClient::call_once(const Request&, Reply&, std::string& error) {
-  error = "Unix domain sockets unavailable on this platform";
-  return false;
-}
-
-#endif
 
 }  // namespace steersim::svc

@@ -5,9 +5,9 @@
 // three ad-hoc ones. SteersimClient keeps a persistent connection to the
 // daemon and turns the protocol's failure taxonomy into behaviour:
 //
-//   transport failures (connect refused, EOF mid-reply, read timeout,
-//   unparseable frame — i.e. a chaos-corrupted one) close the socket,
-//   reconnect, and retry;
+//   transport failures (connect refused, EOF mid-reply, read timeout, a
+//   reply past wire::kMaxFrameBytes, unparseable frame — i.e. a
+//   chaos-corrupted one) close the socket, reconnect, and retry;
 //
 //   retriable error replies (`queue_full`, `wall_deadline`,
 //   `worker_crashed`, `timeout`) retry on the live connection;
@@ -25,7 +25,7 @@
 // When every attempt is exhausted the caller gets a synthesized error
 // reply with code `transport` — a code the server itself never sends.
 //
-// POSIX only, like svc/server.hpp; on _WIN32 every call fails cleanly.
+// POSIX only; framing lives in svc/wire.hpp.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,7 @@
 
 #include "common/rng.hpp"
 #include "svc/protocol.hpp"
+#include "svc/wire.hpp"
 
 namespace steersim::svc {
 
@@ -50,8 +51,6 @@ struct ClientOptions {
   std::uint64_t backoff_cap_ms = 1'000;
   /// Seeds the jitter RNG: deterministic sleep sequences per client.
   std::uint64_t jitter_seed = 1;
-  /// Retry transport failures too (not just retriable error replies).
-  bool retry_transport = true;
 };
 
 /// Lifetime counters, exposed so benches can report retry pressure.
@@ -98,17 +97,16 @@ class SteersimClient {
                                         Xoshiro256& rng);
 
  private:
-  bool ensure_connected(std::string& error);
-  bool send_line(const std::string& line, std::string& error);
-  bool read_line(std::string& line, std::string& error);
+  /// The next reply frame, or false with `error` set.
+  bool read_reply(std::string_view& frame, std::string& error);
 
   ClientOptions options_;
   Xoshiro256 rng_;
   ClientStats stats_;
   int fd_ = -1;
-  /// Bytes read past the last consumed frame; cleared on (re)connect so
-  /// a stale half-frame can never prefix a fresh reply.
-  std::string inbuf_;
+  /// Cleared on close, so a stale half-frame can never prefix the reply
+  /// on the next connection.
+  wire::FrameReader reader_;
 };
 
 }  // namespace steersim::svc

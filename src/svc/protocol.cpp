@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "common/strings.hpp"
 #include "sim/json.hpp"
@@ -658,13 +657,6 @@ Reply Reply::error(std::string id, std::string_view code, std::string message,
   reply.message = std::move(message);
   reply.retriable = retriable;
   return reply;
-}
-
-std::string Fnv1a::hex() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash_));
-  return buf;
 }
 
 }  // namespace steersim::svc

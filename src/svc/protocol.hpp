@@ -178,28 +178,4 @@ struct Reply {
                      std::string message, bool retriable = false);
 };
 
-/// FNV-1a/64 over length-delimited chunks, the digest the result cache
-/// keys on: feed the program bytes and the canonical effective-config
-/// rendering. Matches the mixing of bench_util's config_digest (each
-/// chunk terminated by a 0xff sentinel so concatenation ambiguity cannot
-/// alias two different jobs).
-class Fnv1a {
- public:
-  Fnv1a& mix(std::string_view chunk) {
-    for (const char c : chunk) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 1099511628211ull;
-    }
-    hash_ ^= 0xff;
-    hash_ *= 1099511628211ull;
-    return *this;
-  }
-  std::uint64_t value() const { return hash_; }
-  /// 16 lowercase hex digits.
-  std::string hex() const;
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ull;
-};
-
 }  // namespace steersim::svc

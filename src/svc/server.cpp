@@ -1,46 +1,21 @@
 #include "svc/server.hpp"
 
-#include <cstdio>
-
-#if !defined(_WIN32)
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstring>
+#include <cstdio>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "svc/chaos.hpp"
-#endif
+#include "svc/wire.hpp"
 
 namespace steersim::svc {
-
-#if defined(_WIN32)
-
-struct SocketServer::Connection {};
-struct SocketServer::State {};
-
-SocketServer::SocketServer(SimService& service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {}
-SocketServer::~SocketServer() = default;
-bool SocketServer::listen() {
-  std::fprintf(stderr, "steersimd: Unix domain sockets unavailable on this "
-                       "platform\n");
-  return false;
-}
-bool SocketServer::serve() { return listen(); }
-void SocketServer::stop() {}
-void SocketServer::handle_connection(Connection&) {}
-void SocketServer::reap_finished() {}
-
-#else
 
 /// One accepted client. `fd` lives under State::mutex (set to -1 when the
 /// handler closes it, so stop() can never shutdown() a recycled
@@ -60,35 +35,14 @@ struct SocketServer::State {
 
 namespace {
 
-/// write() the whole buffer, tolerating short writes; false on error
-/// (EPIPE when the client went away — the connection just closes; the
-/// daemon also ignores SIGPIPE and sends with MSG_NOSIGNAL, so a dying
-/// client can never signal-kill the process).
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-#if defined(MSG_NOSIGNAL)
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::write(fd, data.data(), data.size());
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 /// Renders and writes one reply frame, applying chaos frame faults when
 /// an injector is installed. Returns false when the connection should
 /// close (write error, or an injected drop/truncate). Goodbye frames are
 /// exempt from chaos so a chaos-storm run can always shut the daemon
 /// down cleanly.
 bool send_frame(int fd, const Reply& reply) {
-  std::string frame = reply.to_json() + "\n";
+  std::string frame = wire::encode(reply.to_json());
+  std::string error;  // a failed write just closes the connection
   if (reply.type != ReplyType::kGoodbye) {
     if (auto chaos = ChaosInjector::global()) {
       if (chaos->roll(ChaosSite::kFrameDrop)) {
@@ -99,13 +53,14 @@ bool send_frame(int fd, const Reply& reply) {
             std::chrono::milliseconds(chaos->spec().delay_ms));
       }
       if (chaos->roll(ChaosSite::kFrameTruncate)) {
-        write_all(fd, std::string_view(frame).substr(0, frame.size() / 2));
+        wire::write_all(
+            fd, std::string_view(frame).substr(0, frame.size() / 2), error);
         return false;
       }
       chaos->corrupt(frame);
     }
   }
-  return write_all(fd, frame);
+  return wire::write_all(fd, frame, error);
 }
 
 }  // namespace
@@ -132,42 +87,15 @@ bool SocketServer::listen() {
     return true;
   }
   // A client that disconnects while a reply is in flight must cost at
-  // most one failed write, never a process-killing SIGPIPE (belt:
-  // MSG_NOSIGNAL in write_all is the suspenders).
+  // most one failed write, never a process-killing SIGPIPE (belt: the
+  // suspenders are wire::write_all, which never raises it).
   std::signal(SIGPIPE, SIG_IGN);
-  if (options_.socket_path.empty()) {
-    std::fprintf(stderr, "steersimd: empty socket path\n");
+  std::string error;
+  listen_fd_ = wire::listen_unix(options_.socket_path, error);
+  if (listen_fd_ < 0) {
+    std::fprintf(stderr, "steersimd: %s\n", error.c_str());
     return false;
   }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "steersimd: socket path too long: %s\n",
-                 options_.socket_path.c_str());
-    return false;
-  }
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("steersimd: socket");
-    return false;
-  }
-  ::unlink(options_.socket_path.c_str());  // stale socket from a past run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    std::perror("steersimd: bind");
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) < 0) {
-    std::perror("steersimd: listen");
-    ::close(fd);
-    ::unlink(options_.socket_path.c_str());
-    return false;
-  }
-  listen_fd_ = fd;
   return true;
 }
 
@@ -211,23 +139,39 @@ void SocketServer::reap_finished() {
 
 void SocketServer::handle_connection(Connection& conn) {
   const int fd = conn.fd;
-  std::string buffer;
-  char chunk[4096];
-  bool goodbye = false;
-  while (!goodbye) {
-    if (options_.idle_timeout_ms > 0) {
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(options_.idle_timeout_ms));
-      if (ready < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
+  const std::uint64_t idle_ms = options_.idle_timeout_ms > 0
+                                    ? options_.idle_timeout_ms
+                                    : wire::kForever;
+  // Answers one frame; false once the connection should close.
+  const auto answer = [&](std::string_view frame) {
+    if (frame.empty()) {
+      return true;
+    }
+    Request request;
+    std::string parse_error;
+    Reply reply;
+    if (Request::parse(frame, request, parse_error)) {
+      reply = service_.handle(request);
+    } else {
+      reply = Reply::error("", error_code::kBadRequest, parse_error);
+    }
+    if (!send_frame(fd, reply)) {
+      return false;  // client went away mid-reply (or chaos cut it)
+    }
+    if (reply.type == ReplyType::kGoodbye) {
+      stop();
+      return false;
+    }
+    return true;
+  };
+  wire::FrameReader reader;
+  for (bool open = true; open;) {
+    std::string_view frame;
+    switch (reader.next(fd, idle_ms, wire::Pace::kIdle, frame)) {
+      case wire::Read::kFrame:
+        open = answer(frame);
         break;
-      }
-      if (ready == 0) {
+      case wire::Read::kTimeout:
         // Slowloris guard: the peer owes us (the rest of) a frame and
         // has gone quiet; tell it why it is being cut off, then close.
         send_frame(fd, Reply::error(
@@ -236,56 +180,20 @@ void SocketServer::handle_connection(Connection& conn) {
                                std::to_string(options_.idle_timeout_ms) +
                                " ms; closing idle connection",
                            /*retriable=*/true));
+        open = false;
         break;
-      }
-    }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;  // client closed (or stop() shut the fd down)
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    if (buffer.size() > options_.max_frame_bytes &&
-        buffer.find('\n') == std::string::npos) {
-      send_frame(fd, Reply::error("", error_code::kBadRequest,
-                                  "frame exceeds " +
-                                      std::to_string(
-                                          options_.max_frame_bytes) +
-                                      " bytes"));
-      break;
-    }
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) {
+      case wire::Read::kTooLong:
+        send_frame(fd, Reply::error("", error_code::kBadRequest,
+                                    "frame exceeds " +
+                                        std::to_string(wire::kMaxFrameBytes) +
+                                        " bytes"));
+        open = false;
         break;
-      }
-      const std::string_view line(buffer.data() + start, newline - start);
-      start = newline + 1;
-      if (line.empty()) {
-        continue;
-      }
-      Request request;
-      std::string parse_error;
-      Reply reply;
-      if (Request::parse(line, request, parse_error)) {
-        reply = service_.handle(request);
-      } else {
-        reply = Reply::error("", error_code::kBadRequest, parse_error);
-      }
-      if (!send_frame(fd, reply)) {
-        goodbye = true;  // client went away mid-reply (or chaos cut it)
+      case wire::Read::kEof:
+      case wire::Read::kError:
+        open = false;  // client closed (or stop() shut the fd down)
         break;
-      }
-      if (reply.type == ReplyType::kGoodbye) {
-        stop();
-        goodbye = true;
-        break;
-      }
     }
-    buffer.erase(0, start);
   }
   std::lock_guard<std::mutex> lock(state_->mutex);
   ::close(fd);
@@ -343,7 +251,5 @@ bool SocketServer::serve() {
   service_.drain();
   return true;
 }
-
-#endif  // !defined(_WIN32)
 
 }  // namespace steersim::svc

@@ -1,15 +1,14 @@
 // JSON-lines-over-Unix-domain-socket front end for SimService
-// (docs/SERVICE.md). POSIX only; on other platforms listen() fails with a
-// message (the service core itself is portable and in-process callers are
-// unaffected).
+// (docs/SERVICE.md). POSIX only; framing lives in svc/wire.hpp.
 //
 // One accept loop, one thread per connection: each '\n'-terminated frame
 // is parsed with the strict json.hpp entry point, dispatched through
 // SimService::handle (submits block that connection's thread — admission
 // control lives in the bounded job queue, not the socket layer), and
-// answered with one reply line. A shutdown request answers `goodbye`,
-// stops the accept loop, unblocks every open connection, and drains the
-// service before serve() returns.
+// answered with one reply line. A frame longer than wire::kMaxFrameBytes
+// is answered with `bad_request` and the connection closed. A shutdown
+// request answers `goodbye`, stops the accept loop, unblocks every open
+// connection, and drains the service before serve() returns.
 #pragma once
 
 #include <memory>
@@ -21,9 +20,6 @@ namespace steersim::svc {
 
 struct ServerOptions {
   std::string socket_path = {};
-  /// Frames longer than this without a newline poison the connection
-  /// (error reply, then close) instead of growing without bound.
-  std::size_t max_frame_bytes = 1 << 20;
   /// Slowloris guard: a connection that stays silent this long (e.g. a
   /// partial frame, then nothing) is answered with a retriable `timeout`
   /// error and closed, so it cannot pin its thread forever. 0 disables.

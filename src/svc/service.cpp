@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/fnv1a.hpp"
 #include "common/strings.hpp"
 #include "frontend/elf_loader.hpp"
 #include "isa/assembler.hpp"

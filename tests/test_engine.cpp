@@ -1,15 +1,17 @@
 // Unit tests for the execution engine: unit inventory from FFUs + fabric,
 // non-pipelined busy tracking, Eq. 1 integration, slot-busy reporting for
 // the loader, cancellation, and utilization accounting; plus a randomized
-// cosim of the occupancy masks against the reference scans.
+// cosim of the occupancy masks against the reference scans
+// (tests/engine_scan_ref.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/execution_engine.hpp"
 #include "config/steering_set.hpp"
+#include "core/execution_engine.hpp"
+#include "engine_scan_ref.hpp"
 
 namespace steersim {
 namespace {
@@ -21,7 +23,7 @@ TEST(Engine, FfuOnlyInventory) {
   engine.begin_cycle(AllocationVector(8));
   EXPECT_EQ(engine.units().size(), 5u);
   EXPECT_EQ(engine.configured_units(), kFfu);
-  const auto free = engine.free_units();
+  const auto free = reference_free_units(engine);
   for (unsigned t = 0; t < kNumFuTypes; ++t) {
     EXPECT_EQ(free[t], 1u);
   }
@@ -39,7 +41,7 @@ TEST(Engine, AssignConsumesUnitUntilLatencyElapses) {
   ExecutionEngine engine(kFfu);
   engine.begin_cycle(AllocationVector(8));
   EXPECT_TRUE(engine.assign(FuType::kIntMdu, 3, /*wakeup_row=*/7));
-  EXPECT_EQ(engine.free_units()[fu_index(FuType::kIntMdu)], 0u);
+  EXPECT_EQ(reference_free_units(engine)[fu_index(FuType::kIntMdu)], 0u);
   EXPECT_FALSE(engine.assign(FuType::kIntMdu, 1, 8));
 
   EXPECT_TRUE(engine.step().empty());  // cycle 1 -> 2 remaining
@@ -47,7 +49,7 @@ TEST(Engine, AssignConsumesUnitUntilLatencyElapses) {
   const auto done = engine.step();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0], 7u);
-  EXPECT_EQ(engine.free_units()[fu_index(FuType::kIntMdu)], 1u);
+  EXPECT_EQ(reference_free_units(engine)[fu_index(FuType::kIntMdu)], 1u);
 }
 
 TEST(Engine, PrefersFixedUnitsOverRfus) {
@@ -78,10 +80,11 @@ TEST(Engine, AvailabilityLinesReflectBusyUnits) {
   ExecutionEngine engine(kFfu);
   const AllocationVector alloc(8);
   engine.begin_cycle(alloc);
-  EXPECT_TRUE(engine.availability(alloc)[fu_index(FuType::kLsu)]);
+  EXPECT_TRUE(reference_availability(engine, alloc)[fu_index(FuType::kLsu)]);
   engine.assign(FuType::kLsu, 4, 0);
-  EXPECT_FALSE(engine.availability(alloc)[fu_index(FuType::kLsu)]);
-  EXPECT_TRUE(engine.availability(alloc)[fu_index(FuType::kIntAlu)]);
+  EXPECT_FALSE(reference_availability(engine, alloc)[fu_index(FuType::kLsu)]);
+  EXPECT_TRUE(
+      reference_availability(engine, alloc)[fu_index(FuType::kIntAlu)]);
 }
 
 TEST(Engine, BusyRfuSurvivesFabricRefresh) {
@@ -93,7 +96,7 @@ TEST(Engine, BusyRfuSurvivesFabricRefresh) {
   // Fabric refresh mid-execution (other slots changed): the busy unit's
   // in-flight work keeps counting down.
   engine.begin_cycle(alloc);
-  EXPECT_EQ(engine.free_units()[fu_index(FuType::kIntAlu)], 0u);
+  EXPECT_EQ(reference_free_units(engine)[fu_index(FuType::kIntAlu)], 0u);
   EXPECT_TRUE(engine.slot_busy().test(0));
 }
 
@@ -101,9 +104,9 @@ TEST(Engine, CancelFreesUnitImmediately) {
   ExecutionEngine engine(kFfu);
   engine.begin_cycle(AllocationVector(8));
   engine.assign(FuType::kFpMdu, 20, 5);
-  EXPECT_EQ(engine.free_units()[fu_index(FuType::kFpMdu)], 0u);
+  EXPECT_EQ(reference_free_units(engine)[fu_index(FuType::kFpMdu)], 0u);
   engine.cancel(5);
-  EXPECT_EQ(engine.free_units()[fu_index(FuType::kFpMdu)], 1u);
+  EXPECT_EQ(reference_free_units(engine)[fu_index(FuType::kFpMdu)], 1u);
   EXPECT_TRUE(engine.step().empty()) << "cancelled work never completes";
   EXPECT_EQ(engine.stats().cancels, 1u);
 }
@@ -156,11 +159,11 @@ TEST(Engine, PipelinedAvailabilityStaysHighWhileDraining) {
   const AllocationVector alloc(8);
   engine.begin_cycle(alloc);
   engine.assign(FuType::kFpMdu, 16, 0);
-  EXPECT_FALSE(engine.availability(alloc)[fu_index(FuType::kFpMdu)])
+  EXPECT_FALSE(reference_availability(engine, alloc)[fu_index(FuType::kFpMdu)])
       << "initiation interval blocks within the issue cycle";
   engine.step();
   engine.begin_cycle(alloc);
-  EXPECT_TRUE(engine.availability(alloc)[fu_index(FuType::kFpMdu)])
+  EXPECT_TRUE(reference_availability(engine, alloc)[fu_index(FuType::kFpMdu)])
       << "next cycle the pipelined unit can accept again";
   // The loader still sees the slot busy while the op drains... for fixed
   // units there are no slots; check the non-pipelined contrast instead.
@@ -169,7 +172,8 @@ TEST(Engine, PipelinedAvailabilityStaysHighWhileDraining) {
   serial.assign(FuType::kFpMdu, 16, 0);
   serial.step();
   serial.begin_cycle(alloc);
-  EXPECT_FALSE(serial.availability(alloc)[fu_index(FuType::kFpMdu)]);
+  EXPECT_FALSE(
+      reference_availability(serial, alloc)[fu_index(FuType::kFpMdu)]);
 }
 
 TEST(Engine, PipelinedRfuSlotsStayBusyForLoader) {
@@ -259,8 +263,8 @@ void run_occupancy_episode(std::uint64_t seed, bool pipelined) {
   const auto check = [&](const char* after) {
     SCOPED_TRACE(after);
     const auto view = engine.issue_view();
-    ASSERT_EQ(view.available, engine.availability(alloc));
-    ASSERT_EQ(view.free, engine.free_units());
+    ASSERT_EQ(view.available, reference_availability(engine, alloc));
+    ASSERT_EQ(view.free, reference_free_units(engine));
     ASSERT_EQ(engine.slot_busy(), busy_slots());
     const EngineStats& got = engine.stats();
     ASSERT_EQ(got.busy_unit_cycles, expect.busy_unit_cycles);
@@ -268,9 +272,10 @@ void run_occupancy_episode(std::uint64_t seed, bool pipelined) {
     ASSERT_EQ(got.issues_by_type, expect.issues_by_type);
     ASSERT_EQ(got.issues, expect.issues);
     ASSERT_EQ(got.cancels, expect.cancels);
-    // resource_vector()'s availability ports (one per RFU slot, then one
-    // per FFU in FuType order) are low exactly under the units the shadow
-    // occupies, so assign() took the units the old rule picks.
+    // The reference resource vector's availability ports (one per RFU
+    // slot, then one per FFU in FuType order) are low exactly under the
+    // units the shadow occupies, so assign() took the units the old rule
+    // picks.
     SlotMask occupied_spans;
     if (pipelined) {
       for (const auto& unit : issued) {
@@ -279,7 +284,7 @@ void run_occupancy_episode(std::uint64_t seed, bool pipelined) {
     } else {
       occupied_spans = busy_slots();
     }
-    const ResourceVector rv = engine.resource_vector(alloc);
+    const ResourceVector rv = reference_resource_vector(engine, alloc);
     const auto entries = rv.entries();
     for (unsigned slot = 0; slot < num_slots; ++slot) {
       ASSERT_EQ(entries[slot].available, !occupied_spans.test(slot))

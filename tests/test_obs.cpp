@@ -288,6 +288,46 @@ TEST(Tracing, SkipAheadEventStreamMatchesLiveStepping) {
             comparable_event_lines(slurp(live_file.path)));
 }
 
+/// The audit log does not veto skip-ahead either: with it and the tracer
+/// attached, run() still skips, and the decision records it replays
+/// through each skipped window (same cycles, streaks, errors, costs and
+/// intent) equal the ones a manual step() loop records live.
+TEST(Audit, SkipAheadRecordsMatchLiveStepping) {
+  const FileGuard batched_file("test_audit_skip_batched.json");
+  const FileGuard live_file("test_audit_skip_live.json");
+  const Program program = phased_program();
+  const auto audit_rows = [&program](const std::string& trace_path,
+                                     bool stepped) {
+    MachineConfig cfg;
+    cfg.audit.enabled = true;
+    cfg.trace.enabled = true;
+    cfg.trace.path = trace_path;
+    auto cpu = make_processor(program, cfg, {.kind = PolicyKind::kSteered});
+    if (stepped) {
+      for (std::uint64_t c = 0; c < 100'000 && !cpu->halted(); ++c) {
+        cpu->step();
+      }
+    } else {
+      cpu->run(100'000);
+    }
+    EXPECT_TRUE(cpu->halted());
+    std::vector<std::string> rows;
+    for (const AuditRecord& rec : cpu->audit_log()->records()) {
+      rows.push_back(SteeringAuditLog::csv_row(rec));
+    }
+    return rows;
+  };  // processor destruction finalizes the trace document
+
+  const std::vector<std::string> batched =
+      audit_rows(batched_file.path, /*stepped=*/false);
+  const std::vector<std::string> live =
+      audit_rows(live_file.path, /*stepped=*/true);
+  EXPECT_GT(count_skip_spans(slurp(batched_file.path)), 0u)
+      << "run() never engaged skip-ahead with an audit log attached";
+  ASSERT_FALSE(live.empty());
+  EXPECT_EQ(batched, live);
+}
+
 TEST(Tracer, UnopenablePathDegradesToNullSink) {
   TraceConfig cfg;
   cfg.enabled = true;

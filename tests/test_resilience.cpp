@@ -1,16 +1,19 @@
 // Resilience-surface tests (docs/SERVICE.md §Failure modes): the idle-read
 // (slowloris) timeout, SIGPIPE immunity when a client vanishes before its
 // reply, SteersimClient's reconnect/retry/backoff discipline — including
-// recovery through injected frame chaos — and the full-jitter backoff math.
+// recovery through injected frame chaos — the full-jitter backoff math,
+// and wire::FrameReader's framing, alone and at both ends of a socket.
 //
 // The socket tests drive a real SocketServer over a Unix domain socket in
-// /tmp; they are POSIX-only, like the server itself.
+// /tmp, through the same svc/wire.hpp the server and client use.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,13 +26,7 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
-
-#ifndef _WIN32
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
+#include "svc/wire.hpp"
 
 namespace steersim::svc {
 namespace {
@@ -85,8 +82,6 @@ TEST(Client, AbsentDaemonYieldsASynthesizedTransportError) {
   EXPECT_FALSE(client.connected());
 }
 
-#ifndef _WIN32
-
 // ---------------------------------------------------------------------------
 // Socket-level harness: a real SimService + SocketServer on a /tmp socket.
 
@@ -129,63 +124,27 @@ class ServerHarness {
   std::jthread serve_thread_;
 };
 
-int raw_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
+/// A connection to `path`; -1 (and a test failure) when none is made.
+int open_connection(const std::string& path) {
+  std::string error;
+  const int fd = wire::connect_unix(path, 2'000, error);
+  EXPECT_GE(fd, 0) << error;
   return fd;
 }
 
-bool raw_send(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-#ifdef MSG_NOSIGNAL
-    const auto n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                          MSG_NOSIGNAL);
-#else
-    const auto n = ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
-#endif
-    if (n <= 0) {
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads until EOF or `deadline_ms`; returns everything received.
-std::string raw_read_until_eof(int fd, int deadline_ms) {
-  std::string out;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  char buffer[4096];
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
+/// Reads frames until `count` arrived or a read ends otherwise (EOF, a
+/// failure, 10 s without a frame); `last` is the final read's result.
+std::vector<std::string> read_frames(int fd, std::size_t count,
+                                     wire::FrameReader& reader,
+                                     wire::Read& last) {
+  std::vector<std::string> out;
+  std::string_view frame;
+  while ((last = reader.next(fd, 10'000, wire::Pace::kFrame, frame)) ==
+         wire::Read::kFrame) {
+    out.emplace_back(frame);
+    if (out.size() == count) {
       break;
     }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
-    if (ready <= 0) {
-      break;
-    }
-    const auto n = ::read(fd, buffer, sizeof(buffer));
-    if (n <= 0) {
-      break;  // EOF (or error): the server closed its side
-    }
-    out.append(buffer, static_cast<std::size_t>(n));
   }
   return out;
 }
@@ -206,23 +165,24 @@ Request submit_fib(std::uint64_t seed, std::string id = "") {
 TEST(Resilience, IdleConnectionIsTimedOutWithATypedError) {
   ServerHarness harness({.workers = 1, .queue_capacity = 4},
                         {.idle_timeout_ms = 100}, "idle");
-  const int fd = raw_connect(harness.path());
+  const int fd = open_connection(harness.path());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(raw_send(fd, R"({"type":"ping")"));  // half a frame, no '\n'
-
-  const std::string received = raw_read_until_eof(fd, 5000);
-  ::close(fd);
-  const std::size_t newline = received.find('\n');
-  ASSERT_NE(newline, std::string::npos)
-      << "expected one error frame, got: " << received;
-  Reply reply;
   std::string error;
-  ASSERT_TRUE(Reply::parse(received.substr(0, newline), reply, error))
-      << error;
+  ASSERT_TRUE(wire::write_all(fd, R"({"type":"ping")", error))
+      << error;  // half a frame, no '\n'
+
+  wire::FrameReader reader;
+  wire::Read last{};
+  const std::vector<std::string> frames = read_frames(fd, 2, reader, last);
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 1u) << "expected one error frame";
+  Reply reply;
+  ASSERT_TRUE(Reply::parse(frames[0], reply, error)) << error;
   ASSERT_EQ(reply.type, ReplyType::kError);
   EXPECT_EQ(reply.code, error_code::kTimeout);
   EXPECT_TRUE(reply.retriable) << "an idle cut invites a clean retry";
-  EXPECT_EQ(received.substr(newline + 1), "")
+  EXPECT_EQ(last, wire::Read::kEof);
+  EXPECT_EQ(reader.pending(), 0u)
       << "nothing after the error frame: the connection is closed";
 }
 
@@ -232,9 +192,13 @@ TEST(Resilience, IdleConnectionIsTimedOutWithATypedError) {
 
 TEST(Resilience, ServerSurvivesAClientThatVanishesBeforeItsReply) {
   ServerHarness harness({.workers = 1, .queue_capacity = 4}, {}, "vanish");
-  const int fd = raw_connect(harness.path());
+  const int fd = open_connection(harness.path());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(raw_send(fd, submit_fib(1, "doomed").to_json() + "\n"));
+  std::string error;
+  ASSERT_TRUE(
+      wire::write_all(fd, wire::encode(submit_fib(1, "doomed").to_json()),
+                      error))
+      << error;
   ::close(fd);  // gone before the reply: the server's write hits EPIPE
 
   // Wait for the submit to have been processed, then prove the daemon is
@@ -334,47 +298,15 @@ TEST(Resilience, RetriableErrorRepliesRetryWithoutReconnecting) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile frames under max_frame_bytes. A value nested 100,000 arrays deep
-// used to recurse the connection thread off its stack and end the
-// process; malformed numbers used to run as some other number. Each now
-// answers bad_request, and the connection still answers the ping after.
-
-/// Reads until `lines` newline-terminated frames arrived, EOF or the
-/// deadline; returns the complete frames.
-std::vector<std::string> raw_read_lines(int fd, std::size_t lines,
-                                        int deadline_ms) {
-  std::vector<std::string> out;
-  std::string pending;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  char buffer[4096];
-  while (out.size() < lines) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    if (left.count() <= 0 ||
-        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
-      break;
-    }
-    const auto n = ::read(fd, buffer, sizeof(buffer));
-    if (n <= 0) {
-      break;
-    }
-    pending.append(buffer, static_cast<std::size_t>(n));
-    for (std::size_t newline = pending.find('\n');
-         newline != std::string::npos; newline = pending.find('\n')) {
-      out.push_back(pending.substr(0, newline));
-      pending.erase(0, newline + 1);
-    }
-  }
-  return out;
-}
+// Hostile frames under wire::kMaxFrameBytes. A value nested 100,000
+// arrays deep used to recurse the connection thread off its stack and end
+// the process; malformed numbers used to run as some other number. Each
+// now answers bad_request, and the connection still answers the ping
+// after.
 
 TEST(Resilience, HostileFramesAnswerBadRequestAndTheConnectionLives) {
   ServerHarness harness({.workers = 1, .queue_capacity = 4}, {}, "hostile");
-  const int fd = raw_connect(harness.path());
+  const int fd = open_connection(harness.path());
   ASSERT_GE(fd, 0);
   const std::string nested = R"({"type":"ping","x":)" +
                              std::string(100'000, '[') +
@@ -387,20 +319,24 @@ TEST(Resilience, HostileFramesAnswerBadRequestAndTheConnectionLives) {
       R"({"type":"submit","kernel":"fib","seed":1e})"};
   std::string frames;
   for (const std::string& frame : hostile) {
-    frames += frame + "\n";
+    frames += wire::encode(frame);
   }
   Request ping;
   ping.type = RequestType::kPing;
   ping.id = "after";
-  ASSERT_TRUE(raw_send(fd, frames + ping.to_json() + "\n"));
+  std::string error;
+  ASSERT_TRUE(
+      wire::write_all(fd, frames + wire::encode(ping.to_json()), error))
+      << error;
 
+  wire::FrameReader reader;
+  wire::Read last{};
   const std::vector<std::string> replies =
-      raw_read_lines(fd, hostile.size() + 1, 10'000);
+      read_frames(fd, hostile.size() + 1, reader, last);
   ::close(fd);
   ASSERT_EQ(replies.size(), hostile.size() + 1);
   for (std::size_t k = 0; k < replies.size(); ++k) {
     Reply reply;
-    std::string error;
     ASSERT_TRUE(Reply::parse(replies[k], reply, error)) << error;
     if (k < hostile.size()) {
       EXPECT_EQ(reply.code, error_code::kBadRequest) << replies[k];
@@ -413,7 +349,102 @@ TEST(Resilience, HostileFramesAnswerBadRequestAndTheConnectionLives) {
       << "no malformed submit ran";
 }
 
-#endif  // !_WIN32
+// ---------------------------------------------------------------------------
+// Framing at both ends: one wire::kMaxFrameBytes bound, and empty lines.
+
+TEST(Resilience, ServerSkipsEmptyLines) {
+  ServerHarness harness({.workers = 1, .queue_capacity = 4}, {}, "empty");
+  const int fd = open_connection(harness.path());
+  ASSERT_GE(fd, 0);
+  Request ping;
+  ping.type = RequestType::kPing;
+  ping.id = "one";
+  std::string bytes = "\n\n" + wire::encode(ping.to_json()) + "\n";
+  ping.id = "two";
+  bytes += wire::encode(ping.to_json());
+  std::string error;
+  ASSERT_TRUE(wire::write_all(fd, bytes, error)) << error;
+
+  wire::FrameReader reader;
+  wire::Read last{};
+  const std::vector<std::string> replies = read_frames(fd, 2, reader, last);
+  ::close(fd);
+  ASSERT_EQ(replies.size(), 2u);
+  const std::array<const char*, 2> ids = {"one", "two"};
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    Reply reply;
+    ASSERT_TRUE(Reply::parse(replies[k], reply, error)) << error;
+    EXPECT_EQ(reply.type, ReplyType::kPong) << "an empty line is no request";
+    EXPECT_EQ(reply.id, ids[k]);
+  }
+}
+
+TEST(Resilience, PartialFramePastTheBoundAnswersBadRequestAndCloses) {
+  ServerHarness harness({.workers = 1, .queue_capacity = 4}, {}, "bound");
+  const int fd = open_connection(harness.path());
+  ASSERT_GE(fd, 0);
+  std::string error;
+  ASSERT_TRUE(wire::write_all(
+      fd, std::string(wire::kMaxFrameBytes + 1, 'x'), error))
+      << error;
+
+  wire::FrameReader reader;
+  wire::Read last{};
+  const std::vector<std::string> replies = read_frames(fd, 2, reader, last);
+  ::close(fd);
+  ASSERT_EQ(replies.size(), 1u);
+  Reply reply;
+  ASSERT_TRUE(Reply::parse(replies[0], reply, error)) << error;
+  EXPECT_EQ(reply.code, error_code::kBadRequest);
+  EXPECT_EQ(reply.message, "frame exceeds 1048576 bytes");
+  EXPECT_EQ(last, wire::Read::kEof) << "the server closes after answering";
+  EXPECT_EQ(harness.service().stats().submitted, 0u);
+}
+
+TEST(Client, UnterminatedReplyPastTheBoundFailsAtOnce) {
+  // A fake daemon that answers any request with 1 MiB + 1 bytes and no
+  // newline, then holds the connection open until the client leaves.
+  const std::string path = unique_socket_path("fake");
+  std::string error;
+  const int listen_fd = wire::listen_unix(path, error);
+  ASSERT_GE(listen_fd, 0) << error;
+  std::jthread daemon([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) {
+      return;
+    }
+    wire::FrameReader reader;
+    std::string_view frame;
+    std::string write_error;
+    if (reader.next(fd, 10'000, wire::Pace::kFrame, frame) ==
+        wire::Read::kFrame) {
+      wire::write_all(fd, std::string(wire::kMaxFrameBytes + 1, 'x'),
+                      write_error);
+      reader.next(fd, 10'000, wire::Pace::kFrame, frame);  // client's EOF
+    }
+    ::close(fd);
+  });
+
+  ClientOptions options;
+  options.socket_path = path;
+  options.read_timeout_ms = 10'000;
+  SteersimClient client(options);
+  Request ping;
+  ping.type = RequestType::kPing;
+  Reply reply;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.call_once(ping, reply, error));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(error, "reply exceeds 1048576 bytes");
+  EXPECT_LT(waited, std::chrono::seconds(5))
+      << "the bound fails the read at once, not after read_timeout_ms";
+  EXPECT_EQ(client.stats().timeouts, 0u);
+  EXPECT_FALSE(client.connected());
+  ::shutdown(listen_fd, SHUT_RDWR);  // an accept() still waiting returns
+  daemon.join();
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+}
 
 }  // namespace
 }  // namespace steersim::svc

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "protocol_dom_ref.hpp"
 #include "sim/json.hpp"
 #include "svc/cache.hpp"

@@ -39,7 +39,6 @@ TEST(ParallelMap, EmptyJobListReturnsEmpty) {
   EXPECT_TRUE(parallel_map(std::vector<std::function<int()>>{}).empty());
 }
 
-#if !defined(_WIN32)
 TEST(DefaultWorkerCount, HonorsStrictEnvOverride) {
   ::unsetenv("STEERSIM_WORKERS");
   const unsigned fallback = default_worker_count();
@@ -59,7 +58,6 @@ TEST(DefaultWorkerCount, HonorsStrictEnvOverride) {
   ::unsetenv("STEERSIM_WORKERS");
   EXPECT_EQ(default_worker_count(), fallback);
 }
-#endif
 
 TEST(ParallelMap, ThrowingJobPropagatesToCaller) {
   std::vector<std::function<int()>> jobs = square_jobs(8);

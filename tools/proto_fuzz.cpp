@@ -22,30 +22,24 @@
 // replay data.
 //
 // Exit codes: 0 all mutants handled, 1 hang/crash detected, 2 usage.
-#include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
-
-#include "common/rng.hpp"
-#include "common/strings.hpp"
-#include "svc/protocol.hpp"
-
-#if !defined(_WIN32)
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "common/strings.hpp"
+#include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
-#endif
+#include "svc/wire.hpp"
 
 using namespace steersim;
 using namespace steersim::svc;
@@ -184,7 +178,7 @@ std::string mutate(const std::vector<std::string>& corpus, Xoshiro256& rng) {
       }
       case 8: {  // an unknown key whose value nests up to ~400k deep
         // Two bytes a level for arrays, five for objects: the frame stays
-        // under the server's 1 MiB max_frame_bytes.
+        // under wire::kMaxFrameBytes.
         if (frame.size() > 100'000) {
           break;
         }
@@ -206,100 +200,28 @@ std::string mutate(const std::vector<std::string>& corpus, Xoshiro256& rng) {
   return frame;
 }
 
-}  // namespace
-
-#if defined(_WIN32)
-
-int main(int, char**) {
-  std::fprintf(stderr,
-               "proto_fuzz: Unix domain sockets unavailable; skipping\n");
-  return 0;
-}
-
-#else
-
-namespace {
-
-int connect_to(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return -1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-#if defined(MSG_NOSIGNAL)
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::write(fd, data.data(), data.size());
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 enum class Outcome { kSurvived, kDropped, kHang };
 
-/// Reads replies until the chaser pong (or EOF / the deadline). The pong
-/// id is matched as a substring of any reply line, which is robust even
-/// if earlier mutant-triggered replies interleave.
-Outcome await_pong(int fd, const std::string& pong_id, int deadline_ms) {
-  std::string buffer;
-  char chunk[4096];
+/// Reads replies until the chaser pong (or EOF / a silence of
+/// `deadline_ms`). The pong id is matched as a substring of any reply
+/// frame, which is robust even if earlier mutant-triggered replies
+/// interleave.
+Outcome await_pong(int fd, const std::string& pong_id,
+                   std::uint64_t deadline_ms) {
+  wire::FrameReader reader;
   while (true) {
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) {
+    std::string_view frame;
+    switch (reader.next(fd, deadline_ms, wire::Pace::kIdle, frame)) {
+      case wire::Read::kFrame:
+        if (frame.find(pong_id) != std::string_view::npos) {
+          return Outcome::kSurvived;
+        }
         break;
-      }
-      const std::string_view line(buffer.data() + start, newline - start);
-      if (line.find(pong_id) != std::string_view::npos) {
-        return Outcome::kSurvived;
-      }
-      start = newline + 1;
+      case wire::Read::kTimeout:
+        return Outcome::kHang;
+      default:
+        return Outcome::kDropped;  // clean close is an acceptable answer
     }
-    buffer.erase(0, start);
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, deadline_ms);
-    if (ready < 0 && errno == EINTR) {
-      continue;
-    }
-    if (ready == 0) {
-      return Outcome::kHang;
-    }
-    if (ready < 0) {
-      return Outcome::kDropped;
-    }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return Outcome::kDropped;  // clean close is an acceptable answer
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }
 
@@ -358,7 +280,7 @@ class Daemon {
 
   /// Reaps the child if it has exited, waiting up to `wait_ms` for it.
   /// True once it is gone.
-  bool exited(int wait_ms) {
+  bool exited(std::uint64_t wait_ms) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(wait_ms);
     while (!reaped_) {
@@ -487,20 +409,21 @@ int main(int argc, char** argv) {
   Xoshiro256 rng(seed);
   std::uint64_t survived = 0;
   std::uint64_t dropped = 0;
-  constexpr int kDeadlineMs = 5'000;
-  constexpr int kDropGraceMs = 20;
+  constexpr std::uint64_t kDeadlineMs = 5'000;
+  constexpr std::uint64_t kDropGraceMs = 20;
 
+  std::string error;
   std::string last_mutant;  // the previous iteration's, for a late death
   for (std::uint64_t i = 0; i < frames; ++i) {
-    const int fd = connect_to(socket_path);
+    const int fd = wire::connect_unix(socket_path, kDeadlineMs, error);
     if (fd < 0) {
       // The listener is gone: the previous mutant killed the daemon.
       if (i > 0 && daemon.exited(kDeadlineMs)) {
         return report_death(daemon, i - 1, seed, last_mutant);
       }
       std::fprintf(stderr,
-                   "proto_fuzz: FAIL at iteration %llu: cannot connect\n",
-                   static_cast<unsigned long long>(i));
+                   "proto_fuzz: FAIL at iteration %llu: cannot connect (%s)\n",
+                   static_cast<unsigned long long>(i), error.c_str());
       return 1;
     }
     const std::string mutant = mutate(corpus, rng);
@@ -510,8 +433,8 @@ int main(int argc, char** argv) {
     chaser.id = pong_id;
     // Terminate the mutant with our own newline so the chaser is always
     // its own frame, whatever the mutant did to its framing.
-    const bool sent = send_all(fd, mutant) && send_all(fd, "\n") &&
-                      send_all(fd, chaser.to_json() + "\n");
+    const bool sent = wire::write_all(
+        fd, mutant + '\n' + wire::encode(chaser.to_json()), error);
     const Outcome outcome =
         sent ? await_pong(fd, pong_id, kDeadlineMs) : Outcome::kDropped;
     ::close(fd);
@@ -531,9 +454,10 @@ int main(int argc, char** argv) {
       case Outcome::kHang:
         std::fprintf(stderr,
                      "proto_fuzz: FAIL at iteration %llu (seed %llu): no "
-                     "reply within %d ms\n",
+                     "reply within %llu ms\n",
                      static_cast<unsigned long long>(i),
-                     static_cast<unsigned long long>(seed), kDeadlineMs);
+                     static_cast<unsigned long long>(seed),
+                     static_cast<unsigned long long>(kDeadlineMs));
         dump_mutant(mutant);
         return 1;
     }
@@ -541,7 +465,7 @@ int main(int argc, char** argv) {
   }
 
   // Clean shutdown proves the daemon is still fully in control.
-  const int fd = connect_to(socket_path);
+  const int fd = wire::connect_unix(socket_path, kDeadlineMs, error);
   if (fd < 0) {
     if (frames > 0 && daemon.exited(kDeadlineMs)) {
       return report_death(daemon, frames - 1, seed, last_mutant);
@@ -552,7 +476,7 @@ int main(int argc, char** argv) {
   Request shutdown_request;
   shutdown_request.type = RequestType::kShutdown;
   shutdown_request.id = "fz-shutdown";
-  send_all(fd, shutdown_request.to_json() + "\n");
+  wire::write_all(fd, wire::encode(shutdown_request.to_json()), error);
   const Outcome outcome = await_pong(fd, "fz-shutdown", kDeadlineMs);
   ::close(fd);
   if (outcome == Outcome::kHang || !daemon.exited(kDeadlineMs)) {
@@ -572,5 +496,3 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   return 0;
 }
-
-#endif  // !defined(_WIN32)
