@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "isa/assembler.hpp"
 #include "sim/report.hpp"
@@ -54,7 +56,13 @@ int main(int argc, char** argv) {
               program.code_labels.size());
 
   MachineConfig config;
-  auto cpu = make_processor(program, config, spec);
+  std::unique_ptr<Processor> cpu;
+  try {
+    cpu = make_processor(program, config, spec);
+  } catch (const std::invalid_argument& e) {  // e.g. data past data memory
+    std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+    return 1;
+  }
   const RunOutcome outcome = cpu->run();
 
   const SimResult result = collect_result(*cpu, spec, outcome);

@@ -31,7 +31,8 @@ bool ranges_overlap(std::uint64_t a, unsigned a_size, std::uint64_t b,
 
 }  // namespace
 
-const MachineConfig& Processor::validated(const MachineConfig& config) {
+const MachineConfig& Processor::validated(const MachineConfig& config,
+                                          const Program& program) {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("MachineConfig: " + what);
   };
@@ -81,6 +82,12 @@ const MachineConfig& Processor::validated(const MachineConfig& config) {
   if (config.data_memory_bytes == 0) {
     reject("data_memory_bytes must be nonzero");
   }
+  if (program.data_bytes() > config.data_memory_bytes) {
+    reject("data image of program '" + program.name + "' (" +
+           std::to_string(program.data_bytes()) +
+           " bytes) exceeds data_memory_bytes " +
+           std::to_string(config.data_memory_bytes));
+  }
   if (config.fault.upset_rate < 0.0 || config.fault.upset_rate > 1.0) {
     reject("fault.upset_rate " + std::to_string(config.fault.upset_rate) +
            " outside [0, 1]");
@@ -102,8 +109,7 @@ const MachineConfig& Processor::validated(const MachineConfig& config) {
 Processor::Processor(const Program& program, const MachineConfig& config,
                      std::unique_ptr<SteeringPolicy> policy,
                      AllocationVector initial_rfu)
-    : config_(validated(config)),
-      program_(program),
+    : config_(validated(config, program)),
       mem_(config.data_memory_bytes),
       dcache_(config.use_dcache ? std::make_unique<DataCache>(config.dcache)
                                 : nullptr),
@@ -140,7 +146,7 @@ Processor::Processor(const Program& program, const MachineConfig& config,
   // try_skip stops at sampler window boundaries so sampling is unchanged.
   skip_eligible_ = recovery_ == nullptr && !config_.fault.enabled() &&
                    !config_.pipelined_units;
-  mem_.load_image(program_.data);
+  mem_.load_image(program.data);
   loader_.set_tracer(tracer_.get());
   policy_->attach_observers(tracer_.get(), audit_.get());
   if (tracer_ != nullptr) {

@@ -218,9 +218,11 @@ class Processor {
   }
 
  private:
-  /// Throws std::invalid_argument on an inconsistent configuration; called
+  /// Throws std::invalid_argument on an inconsistent configuration, or on
+  /// a program whose data image does not fit in data memory; called
   /// before any member constructs so no module ever sees bad parameters.
-  static const MachineConfig& validated(const MachineConfig& config);
+  static const MachineConfig& validated(const MachineConfig& config,
+                                        const Program& program);
 
   /// Closes `cycles` elapsed cycles (one stepped, or a skip window):
   /// advances the clock, the no-retirement window and the stall latch,
@@ -276,7 +278,6 @@ class Processor {
   void fault(std::string message);
 
   MachineConfig config_;
-  Program program_;
 
   RegisterFile regs_;
   DataMemory mem_;

@@ -75,10 +75,6 @@ ElfFile parse_elf32(std::span<const std::uint8_t> image);
 Program load_elf_program(std::span<const std::uint8_t> image,
                          const std::string& name);
 
-/// Ceiling on the flat data image an ELF may request (16 MiB): a sane
-/// bound so a corrupt header cannot demand gigabytes.
-inline constexpr std::uint64_t kMaxDataImageBytes = 16ull << 20;
-
 /// Deterministic ELF32 image builder — how the committed fixtures are
 /// produced and how loader tests construct well-formed and malformed
 /// variants without a cross-toolchain.

@@ -1,4 +1,8 @@
-// Two-pass assembler for the steersim RISC ISA.
+// Assembler for the steersim RISC ISA. The source is lexed once, into
+// views of the caller's text; a data pass lays out the data image and its
+// labels, then one code pass emits the instructions and patches label
+// targets at the end. No view outlives assemble(): the Program owns
+// copies of every name.
 //
 // Grammar (one statement per line, '#' or ';' starts a comment, commas are
 // optional whitespace):
@@ -17,6 +21,9 @@
 // call label (jal r31); ret (jr r31); b label (j).
 //
 // Register aliases: zero=r0, sp=r30, ra=r31.
+//
+// The data image may not exceed kMaxDataImageBytes (isa/program.hpp): a
+// directive that would pass it is an error, raised before allocating.
 //
 // Errors in the source are user-input errors and are reported by throwing
 // AssemblyError with the offending line number (Core Guidelines E.x: use

@@ -10,6 +10,11 @@
 
 namespace steersim {
 
+/// Ceiling on a program's initial data image (16 MiB), enforced where an
+/// image is built from untrusted input (the assembler's data directives,
+/// the ELF loader's segments) so a hostile size cannot demand gigabytes.
+inline constexpr std::uint64_t kMaxDataImageBytes = 16ull << 20;
+
 struct Program {
   std::string name;
   std::vector<Instruction> code;
@@ -22,6 +27,8 @@ struct Program {
 
   /// Byte size of the initial data image.
   std::uint64_t data_bytes() const { return data.size() * 8; }
+
+  friend bool operator==(const Program&, const Program&) = default;
 };
 
 }  // namespace steersim

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 
@@ -10,17 +11,26 @@ namespace steersim {
 
 void MetricRegistry::add(std::string name, double value, bool derived) {
   STEERSIM_EXPECTS(!name.empty());
-  STEERSIM_EXPECTS(find(name) == nullptr);
+  const auto pos = lower_bound(name);
+  STEERSIM_EXPECTS(pos == by_name_.end() || metrics_[*pos].name != name);
+  by_name_.insert(pos, static_cast<std::uint32_t>(metrics_.size()));
   metrics_.push_back(Metric{std::move(name), value, derived});
 }
 
+std::vector<std::uint32_t>::const_iterator MetricRegistry::lower_bound(
+    std::string_view name) const {
+  const auto name_less = [this](std::uint32_t index, std::string_view key) {
+    return std::string_view(metrics_[index].name) < key;
+  };
+  return std::lower_bound(by_name_.begin(), by_name_.end(), name, name_less);
+}
+
 const Metric* MetricRegistry::find(std::string_view name) const {
-  for (const Metric& m : metrics_) {
-    if (m.name == name) {
-      return &m;
-    }
+  const auto pos = lower_bound(name);
+  if (pos == by_name_.end() || metrics_[*pos].name != name) {
+    return nullptr;
   }
-  return nullptr;
+  return &metrics_[*pos];
 }
 
 std::string MetricRegistry::to_csv() const {

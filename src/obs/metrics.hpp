@@ -9,6 +9,7 @@
 // `collect_metrics(SimResult)` in sim/metrics.hpp does the collecting.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,12 +27,17 @@ struct Metric {
 
 class MetricRegistry {
  public:
-  /// Registers a metric; names must be unique (enforced).
+  /// Registers a metric; names must be unique (enforced by a binary
+  /// search of the name index).
   void add(std::string name, double value, bool derived = false);
 
   std::size_t size() const { return metrics_.size(); }
   bool empty() const { return metrics_.empty(); }
+  /// In registration order.
   const std::vector<Metric>& metrics() const { return metrics_; }
+  /// Indices into metrics(), in ascending name order (byte-wise, as
+  /// std::string compares).
+  const std::vector<std::uint32_t>& by_name() const { return by_name_; }
 
   /// nullptr when no metric has that name.
   const Metric* find(std::string_view name) const;
@@ -52,12 +58,21 @@ class MetricRegistry {
     return [this, prefix = std::move(prefix)](std::string_view name,
                                               double value,
                                               bool derived = false) {
-      add(prefix + std::string(name), value, derived);
+      std::string full;
+      full.reserve(prefix.size() + name.size());
+      full += prefix;
+      full += name;
+      add(std::move(full), value, derived);
     };
   }
 
  private:
+  /// The first position in by_name_ whose name is not less than `name`.
+  std::vector<std::uint32_t>::const_iterator lower_bound(
+      std::string_view name) const;
+
   std::vector<Metric> metrics_;
+  std::vector<std::uint32_t> by_name_;
 };
 
 }  // namespace steersim

@@ -1,9 +1,10 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <future>
-#include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -134,7 +135,7 @@ struct UnknownName : std::runtime_error {
 struct ProgramSource {
   std::string name;
   std::string_view text;  ///< kernel or asm source; empty for ELF
-  std::vector<std::uint8_t> image;  ///< ELF fixture image
+  std::span<const std::uint8_t> image;  ///< ELF fixture image
 };
 
 /// Resolve, the first of the two steps from a submit to a Program, for
@@ -143,7 +144,8 @@ struct ProgramSource {
 /// that exactly one is named) and mixes its bytes into `digest`. ELF
 /// fixtures digest the raw image, so identical binaries share one cache
 /// entry whatever name they were submitted under. Throws UnknownName.
-/// `text` views the kernel library or `asm_source`.
+/// `text` views the kernel library or `asm_source`, `image` the fixture
+/// library.
 ProgramSource resolve_program(std::string_view kernel,
                               std::string_view asm_source,
                               std::string_view elf, Fnv1a& digest) {
@@ -161,7 +163,7 @@ ProgramSource resolve_program(std::string_view kernel,
       throw UnknownName("unknown elf fixture '" + std::string(elf) + "'");
     }
     source.name = fixture->name;
-    source.image = rv32_fixture_elf(*fixture);
+    source.image = fixture->elf;
     digest.mix(std::string_view(
         reinterpret_cast<const char*>(source.image.data()),
         source.image.size()));
@@ -186,21 +188,17 @@ Program build_program(const ProgramSource& source) {
 }  // namespace
 
 std::string canonical_metrics_json(const MetricRegistry& registry) {
-  std::map<std::string, double> sorted;
-  for (const Metric& metric : registry.metrics()) {
-    sorted.emplace(metric.name, metric.value);
-  }
   std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : sorted) {
-    if (!first) {
+  std::array<char, 32> number;
+  for (const std::uint32_t index : registry.by_name()) {
+    const Metric& metric = registry.metrics()[index];
+    if (out.size() > 1) {
       out += ',';
     }
-    first = false;
     out += '"';
-    append_json_escaped(out, name);
+    append_json_escaped(out, metric.name);
     out += "\":";
-    out += json_number(value);
+    out += json_number(metric.value, number);
   }
   out += '}';
   return out;
@@ -340,10 +338,8 @@ Reply SimService::handle_submit(const Request& request) {
                        "exactly one of 'kernel', 'asm' and 'elf' is "
                        "required");
   }
-  auto job = std::make_shared<Job>();
-  job->request = request;
-  job->wall_ms = request.wall_ms;
-  if (is_multi && !parse_arbiter(request.arbiter, job->arbiter)) {
+  ArbiterKind arbiter = ArbiterKind::kRoundRobin;
+  if (is_multi && !parse_arbiter(request.arbiter, arbiter)) {
     return bad_request(request.id,
                        "unknown arbiter '" + request.arbiter + "'");
   }
@@ -352,6 +348,7 @@ Reply SimService::handle_submit(const Request& request) {
   // policy label plus the arbiter.
   Fnv1a digest;
   std::vector<ProgramSource> sources;
+  std::vector<CoreSpec> cores;
   try {
     if (!is_multi) {
       sources.push_back(resolve_program(request.kernel, request.asm_source,
@@ -372,15 +369,16 @@ Reply SimService::handle_submit(const Request& request) {
         sources.push_back(resolve_program(entry.kernel, {}, entry.elf,
                                           digest));
         digest.mix(entry.policy);
-        job->cores.push_back(std::move(core));
+        cores.push_back(std::move(core));
       }
-      digest.mix(arbiter_name(job->arbiter));
+      digest.mix(arbiter_name(arbiter));
     }
   } catch (const UnknownName& e) {
     return bad_request(request.id, e.what());
   }
 
-  if (!parse_policy(request.policy, job->spec)) {
+  PolicySpec spec;
+  if (!parse_policy(request.policy, spec)) {
     return bad_request(request.id,
                        "unknown policy '" + request.policy + "'");
   }
@@ -389,45 +387,54 @@ Reply SimService::handle_submit(const Request& request) {
     return bad_request(request.id,
                        "'interval' and 'confirm' must be in [1, 1e6]");
   }
-  job->spec.interval = static_cast<unsigned>(request.interval);
-  job->spec.confirm = static_cast<unsigned>(request.confirm);
-  job->spec.lookahead = request.lookahead;
-  job->spec.seed = request.seed;
+  spec.interval = static_cast<unsigned>(request.interval);
+  spec.confirm = static_cast<unsigned>(request.confirm);
+  spec.lookahead = request.lookahead;
+  spec.seed = request.seed;
   // Steering cadence / seed are shared across cores; only the policy kind
   // is per-core.
-  for (CoreSpec& core : job->cores) {
-    core.policy.interval = job->spec.interval;
-    core.policy.confirm = job->spec.confirm;
-    core.policy.lookahead = job->spec.lookahead;
-    core.policy.seed = job->spec.seed;
+  for (CoreSpec& core : cores) {
+    core.policy.interval = spec.interval;
+    core.policy.confirm = spec.confirm;
+    core.policy.lookahead = spec.lookahead;
+    core.policy.seed = spec.seed;
   }
 
+  MachineConfig machine;
   for (const auto& [name, value] : request.config) {
     std::string error;
-    if (!apply_knob(job->machine, name, value, error)) {
+    if (!apply_knob(machine, name, value, error)) {
       return bad_request(request.id, std::move(error));
     }
   }
 
-  job->budget = request.max_cycles == 0
-                    ? config_.default_max_cycles
-                    : std::min(request.max_cycles,
-                               config_.max_cycles_ceiling);
-  digest.mix(effective_config_key(job->machine, job->spec, job->budget));
-  job->key = digest.value();
-  job->digest_hex = digest.hex();
+  const std::uint64_t budget =
+      request.max_cycles == 0
+          ? config_.default_max_cycles
+          : std::min(request.max_cycles, config_.max_cycles_ceiling);
+  digest.mix(effective_config_key(machine, spec, budget));
 
   if (auto chaos = ChaosInjector::global()) {
     chaos->maybe_cache_slow();
   }
-  if (auto hit = cache_.lookup(job->key)) {
+  if (auto hit = cache_.lookup(digest.value())) {
     hit->id = request.id;
     hit->cache = "hit";
     return *hit;
   }
 
-  // A miss builds its programs here, on the connection thread, so a bad
-  // program still answers bad_request before anything is queued.
+  // A miss builds its job and programs here, on the connection thread, so
+  // a bad program still answers bad_request before anything is queued.
+  auto job = std::make_shared<Job>();
+  job->request = request;
+  job->wall_ms = request.wall_ms;
+  job->machine = machine;
+  job->spec = spec;
+  job->cores = std::move(cores);
+  job->arbiter = arbiter;
+  job->budget = budget;
+  job->key = digest.value();
+  job->digest_hex = digest.hex();
   try {
     if (!is_multi) {
       job->program = build_program(sources.front());

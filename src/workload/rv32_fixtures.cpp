@@ -236,11 +236,17 @@ Rv32Fixture build_phases_fixture() {
 }  // namespace
 
 const std::vector<Rv32Fixture>& rv32_fixture_library() {
-  static const std::vector<Rv32Fixture> fixtures = {
-      build_int_fixture(),
-      build_fp_fixture(),
-      build_phases_fixture(),
-  };
+  static const std::vector<Rv32Fixture> fixtures = [] {
+    std::vector<Rv32Fixture> built = {
+        build_int_fixture(),
+        build_fp_fixture(),
+        build_phases_fixture(),
+    };
+    for (Rv32Fixture& fx : built) {
+      fx.elf = rv32_fixture_elf(fx);
+    }
+    return built;
+  }();
   return fixtures;
 }
 

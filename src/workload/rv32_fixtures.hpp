@@ -43,6 +43,9 @@ struct Rv32Fixture {
   std::uint32_t data_vaddr = 0;
   std::vector<std::uint8_t> data;
   std::vector<Rv32Check> checks;
+  /// rv32_fixture_elf()'s image, built once with the library (empty on
+  /// a fixture built elsewhere).
+  std::vector<std::uint8_t> elf;
 };
 
 /// All committed fixtures, built once per process.

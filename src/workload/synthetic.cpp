@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
+#include <string_view>
+#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -33,6 +36,28 @@ enum class Category : std::uint8_t {
   kBranch,
 };
 
+/// Appends the decimal spelling of `value`.
+void append_uint(std::string& out, std::uint64_t value) {
+  std::array<char, 20> buf;
+  char* end = std::to_chars(buf.data(), buf.data() + buf.size(), value).ptr;
+  out.append(buf.data(), end);
+}
+
+/// Appends `parts` (strings and unsigned numbers) and a newline.
+template <typename... Parts>
+void append_line(std::string& out, const Parts&... parts) {
+  const auto append = [&out](const auto& part) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(part)>>) {
+      append_uint(out, part);
+    } else {
+      out += part;
+    }
+  };
+  (append(parts), ...);
+  out += '\n';
+}
+
+
 class BodyEmitter {
  public:
   BodyEmitter(const SyntheticSpec& spec, Xoshiro256& rng, std::string& out)
@@ -58,7 +83,7 @@ class BodyEmitter {
 
     for (unsigned i = 0; i < phase.body_length; ++i) {
       if (pending_skip_ > 0 && --pending_skip_ == 0) {
-        out_ += skip_label_ + ":\n";
+        emit_skip_label();
       }
       double pick = rng_.next_double() * total;
       Category cat = Category::kIntAlu;
@@ -78,23 +103,12 @@ class BodyEmitter {
       emit_one(cat, phase_idx, i);
     }
     if (pending_skip_ > 0) {
-      out_ += skip_label_ + ":\n";
+      emit_skip_label();
       pending_skip_ = 0;
     }
   }
 
  private:
-  std::string int_reg(unsigned idx) const {
-    std::string reg = "r";
-    reg += std::to_string(kIntPoolBase + idx);
-    return reg;
-  }
-  std::string fp_reg(unsigned idx) const {
-    std::string reg = "f";
-    reg += std::to_string(kFpPoolBase + idx);
-    return reg;
-  }
-
   unsigned pick_int_src() {
     if (!recent_int_.empty() && rng_.next_bool(spec_.dep_density)) {
       return recent_int_[rng_.next_below(recent_int_.size())];
@@ -124,68 +138,98 @@ class BodyEmitter {
     }
   }
 
-  std::string random_offset() {
+  std::uint64_t random_offset() {
     const unsigned limit = std::min(spec_.array_words, 2047u);
-    return std::to_string(8 * rng_.next_below(limit));
+    return 8 * rng_.next_below(limit);
   }
 
+  void emit_skip_label() { append_line(out_, skip_label_, ":"); }
+
+  /// "  op Xrd, Xrs1, Xrs2" over one register file (`file` "r" or "f").
+  void emit_rrr(std::string_view op, std::string_view file, unsigned base,
+                unsigned rd, unsigned rs1, unsigned rs2) {
+    append_line(out_, "  ", op, " ", file, base + rd, ", ", file, base + rs1,
+                ", ", file, base + rs2);
+  }
+
+  /// "  op Xreg, offset(r2)".
+  void emit_mem(std::string_view op, std::string_view file, unsigned reg,
+                std::uint64_t offset) {
+    append_line(out_, "  ", op, " ", file, reg, ", ", offset, "(r",
+                kArrayBase, ")");
+  }
+
+  // Each random draw is its own statement, in the order the generator's
+  // first version made them. That version built every line as one `+`
+  // chain, e.g. "  mul " + reg(dst) + ", " + reg(src1) + ", " + reg(src2),
+  // whose operands are unsequenced; GCC evaluates them right to left, so
+  // it drew src2, then src1, then dst (and a memory op's offset before its
+  // register). Keeping that order keeps every generated program, and each
+  // count measured on one, byte-identical, whatever compiler builds this.
   void emit_one(Category cat, unsigned phase_idx, unsigned inst_idx) {
     switch (cat) {
       case Category::kIntAlu: {
-        static constexpr std::array<const char*, 6> kOps = {
+        static constexpr std::array<std::string_view, 6> kOps = {
             "add", "sub", "xor", "and", "or", "slt"};
-        out_ += std::string("  ") + kOps[rng_.next_below(kOps.size())] +
-                " " + int_reg(pick_int_dst()) + ", " +
-                int_reg(pick_int_src()) + ", " + int_reg(pick_int_src()) +
-                "\n";
+        const unsigned src2 = pick_int_src();
+        const unsigned src1 = pick_int_src();
+        const unsigned dst = pick_int_dst();
+        const std::string_view op = kOps[rng_.next_below(kOps.size())];
+        emit_rrr(op, "r", kIntPoolBase, dst, src1, src2);
         break;
       }
       case Category::kIntMul:
-        out_ += "  mul " + int_reg(pick_int_dst()) + ", " +
-                int_reg(pick_int_src()) + ", " + int_reg(pick_int_src()) +
-                "\n";
-        break;
-      case Category::kIntDiv:
-        out_ += "  div " + int_reg(pick_int_dst()) + ", " +
-                int_reg(pick_int_src()) + ", " + int_reg(pick_int_src()) +
-                "\n";
-        break;
-      case Category::kLoad:
-        out_ += "  lw " + int_reg(pick_int_dst()) + ", " + random_offset() +
-                "(r" + std::to_string(kArrayBase) + ")\n";
-        break;
-      case Category::kStore:
-        out_ += "  sw " + int_reg(pick_int_src()) + ", " + random_offset() +
-                "(r" + std::to_string(kArrayBase) + ")\n";
-        break;
-      case Category::kFpLoad:
-        out_ += "  flw " + fp_reg(pick_fp_dst()) + ", " + random_offset() +
-                "(r" + std::to_string(kArrayBase) + ")\n";
-        break;
-      case Category::kFpStore:
-        out_ += "  fsw " + fp_reg(pick_fp_src()) + ", " + random_offset() +
-                "(r" + std::to_string(kArrayBase) + ")\n";
-        break;
-      case Category::kFpAdd: {
-        const char* op = rng_.next_bool(0.5) ? "fadd" : "fsub";
-        out_ += std::string("  ") + op + " " + fp_reg(pick_fp_dst()) + ", " +
-                fp_reg(pick_fp_src()) + ", " + fp_reg(pick_fp_src()) + "\n";
+      case Category::kIntDiv: {
+        const unsigned src2 = pick_int_src();
+        const unsigned src1 = pick_int_src();
+        const unsigned dst = pick_int_dst();
+        emit_rrr(cat == Category::kIntMul ? "mul" : "div", "r", kIntPoolBase,
+                 dst, src1, src2);
         break;
       }
+      case Category::kLoad: {
+        const std::uint64_t offset = random_offset();
+        emit_mem("lw", "r", kIntPoolBase + pick_int_dst(), offset);
+        break;
+      }
+      case Category::kStore: {
+        const std::uint64_t offset = random_offset();
+        emit_mem("sw", "r", kIntPoolBase + pick_int_src(), offset);
+        break;
+      }
+      case Category::kFpLoad: {
+        const std::uint64_t offset = random_offset();
+        emit_mem("flw", "f", kFpPoolBase + pick_fp_dst(), offset);
+        break;
+      }
+      case Category::kFpStore: {
+        const std::uint64_t offset = random_offset();
+        emit_mem("fsw", "f", kFpPoolBase + pick_fp_src(), offset);
+        break;
+      }
+      case Category::kFpAdd:
       case Category::kFpMul:
-        out_ += "  fmul " + fp_reg(pick_fp_dst()) + ", " +
-                fp_reg(pick_fp_src()) + ", " + fp_reg(pick_fp_src()) + "\n";
+      case Category::kFpDiv: {
+        std::string_view op = cat == Category::kFpMul ? "fmul" : "fdiv";
+        if (cat == Category::kFpAdd) {
+          op = rng_.next_bool(0.5) ? "fadd" : "fsub";
+        }
+        const unsigned src2 = pick_fp_src();
+        const unsigned src1 = pick_fp_src();
+        const unsigned dst = pick_fp_dst();
+        emit_rrr(op, "f", kFpPoolBase, dst, src1, src2);
         break;
-      case Category::kFpDiv:
-        out_ += "  fdiv " + fp_reg(pick_fp_dst()) + ", " +
-                fp_reg(pick_fp_src()) + ", " + fp_reg(pick_fp_src()) + "\n";
-        break;
+      }
       case Category::kBranch: {
-        skip_label_ = "skip_" + std::to_string(phase_idx) + "_" +
-                      std::to_string(inst_idx);
+        skip_label_ = "skip_";
+        append_uint(skip_label_, phase_idx);
+        skip_label_ += '_';
+        append_uint(skip_label_, inst_idx);
         pending_skip_ = 1 + static_cast<unsigned>(rng_.next_below(3));
-        out_ += "  blt " + int_reg(pick_int_src()) + ", " +
-                int_reg(pick_int_src()) + ", " + skip_label_ + "\n";
+        const unsigned src2 = pick_int_src();
+        const unsigned src1 = pick_int_src();
+        append_line(out_, "  blt r", kIntPoolBase + src1, ", r",
+                    kIntPoolBase + src2, ", ", skip_label_);
         break;
       }
     }
@@ -209,50 +253,48 @@ std::string generate_synthetic_asm(const SyntheticSpec& spec) {
 
   Xoshiro256 rng(spec.seed);
   std::string out;
-  out += "# synthetic workload '" + spec.name + "'\n";
-  out += ".data\n";
-  out += "arr: .space " + std::to_string(spec.array_words) + "\n";
-  out += ".text\n";
-  out += "  la r" + std::to_string(kArrayBase) + ", arr\n";
-  out += "  li r" + std::to_string(kOuterCounter) + ", " +
-         std::to_string(spec.outer_repeats) + "\n";
+  // About 20 bytes per body line, plus the prologue and loop control.
+  std::size_t body_lines = 0;
+  for (const PhaseSpec& phase : spec.phases) {
+    body_lines += phase.body_length + 5;
+  }
+  out.reserve(2048 + 24 * body_lines);
+  append_line(out, "# synthetic workload '", spec.name, "'");
+  append_line(out, ".data");
+  append_line(out, "arr: .space ", spec.array_words);
+  append_line(out, ".text");
+  append_line(out, "  la r", kArrayBase, ", arr");
+  append_line(out, "  li r", kOuterCounter, ", ", spec.outer_repeats);
 
   // Initialize the integer pool with small distinct constants and seed the
   // array's first words so loads see nonzero data.
   for (unsigned i = 0; i < kIntPoolSize; ++i) {
-    out += "  addi r" + std::to_string(kIntPoolBase + i) + ", r0, " +
-           std::to_string(3 + 7 * i) + "\n";
+    append_line(out, "  addi r", kIntPoolBase + i, ", r0, ", 3 + 7 * i);
   }
   for (unsigned i = 0; i < kIntPoolSize; ++i) {
-    out += "  sw r" + std::to_string(kIntPoolBase + i) + ", " +
-           std::to_string(8 * i) + "(r" + std::to_string(kArrayBase) +
-           ")\n";
+    append_line(out, "  sw r", kIntPoolBase + i, ", ", 8 * i, "(r",
+                kArrayBase, ")");
   }
   for (unsigned i = 0; i < kFpPoolSize; ++i) {
-    out += "  cvt.i.f f" + std::to_string(kFpPoolBase + i) + ", r" +
-           std::to_string(kIntPoolBase + (i % kIntPoolSize)) + "\n";
+    append_line(out, "  cvt.i.f f", kFpPoolBase + i, ", r",
+                kIntPoolBase + (i % kIntPoolSize));
   }
 
-  out += "outer:\n";
+  append_line(out, "outer:");
   BodyEmitter emitter(spec, rng, out);
   for (unsigned p = 0; p < spec.phases.size(); ++p) {
     const PhaseSpec& phase = spec.phases[p];
     STEERSIM_EXPECTS(phase.body_length >= 1 && phase.iterations >= 1);
-    const std::string label = "phase" + std::to_string(p);
-    out += label + ":\n";
-    out += "  li r" + std::to_string(kLoopCounter) + ", " +
-           std::to_string(phase.iterations) + "\n";
-    out += label + "_loop:\n";
+    append_line(out, "phase", p, ":");
+    append_line(out, "  li r", kLoopCounter, ", ", phase.iterations);
+    append_line(out, "phase", p, "_loop:");
     emitter.emit_body(phase, p);
-    out += "  addi r" + std::to_string(kLoopCounter) + ", r" +
-           std::to_string(kLoopCounter) + ", -1\n";
-    out += "  bne r" + std::to_string(kLoopCounter) + ", r0, " + label +
-           "_loop\n";
+    append_line(out, "  addi r", kLoopCounter, ", r", kLoopCounter, ", -1");
+    append_line(out, "  bne r", kLoopCounter, ", r0, phase", p, "_loop");
   }
-  out += "  addi r" + std::to_string(kOuterCounter) + ", r" +
-         std::to_string(kOuterCounter) + ", -1\n";
-  out += "  bne r" + std::to_string(kOuterCounter) + ", r0, outer\n";
-  out += "  halt\n";
+  append_line(out, "  addi r", kOuterCounter, ", r", kOuterCounter, ", -1");
+  append_line(out, "  bne r", kOuterCounter, ", r0, outer");
+  append_line(out, "  halt");
   return out;
 }
 

@@ -190,7 +190,7 @@ TEST(ElfErrors, BrokenSegmentLayoutsAreTyped) {
                         .entry(0x1000)
                         .text(0x1000, words)
                         .segment(static_cast<std::uint32_t>(
-                                     elf::kMaxDataImageBytes),
+                                     kMaxDataImageBytes),
                                  {1}, false)
                         .build();
   EXPECT_EQ(load_error(huge), ElfError::Kind::kBadLayout);

@@ -631,6 +631,35 @@ TEST(Metrics, RegistryCollectsEverySubsystemWithExactValues) {
   }
 }
 
+TEST(Metrics, NameIndexIsSortedAndFindsEveryName) {
+  MetricRegistry reg;
+  for (const char* name : {"b.z", "a.y", "b.a", "c", "a.yy", "B"}) {
+    reg.add(name, 1.0);
+  }
+  std::vector<std::string> names;
+  for (const std::uint32_t index : reg.by_name()) {
+    names.push_back(reg.metrics()[index].name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"B", "a.y", "a.yy", "b.a",
+                                             "b.z", "c"}));
+  for (const Metric& m : reg.metrics()) {
+    EXPECT_EQ(reg.find(m.name), &m);
+  }
+  EXPECT_EQ(reg.find("a"), nullptr);
+  EXPECT_EQ(reg.find("b.zz"), nullptr);
+}
+
+using MetricRegistryDeathTest = ::testing::Test;
+
+TEST(MetricRegistryDeathTest, DuplicateNameAborts) {
+  MetricRegistry reg;
+  reg.add("sim.cycles", 1.0);
+  reg.add("sim.ipc", 0.5, true);
+  EXPECT_DEATH(reg.add("sim.cycles", 2.0), "Expects");
+  EXPECT_DEATH(reg.prefixed("sim.")("ipc", 1.0), "Expects");
+  EXPECT_DEATH(reg.add("", 1.0), "Expects");
+}
+
 TEST(Metrics, CsvRendersCountersAsIntegers) {
   MetricRegistry reg;
   reg.add("a.count", 123.0);

@@ -479,6 +479,31 @@ TEST(ConfigValidation, RejectsBadFaultParameters) {
   expect_rejected(cfg, "script slot");
 }
 
+TEST(ConfigValidation, RejectsADataImagePastDataMemoryOnEveryEntryPath) {
+  // One word past the default 1 MiB used to abort in DataMemory's
+  // contract while the processor loaded the image.
+  const Program fits = assemble(".data\n  .space 131072\n.text\n  halt\n");
+  const Program past = assemble(".data\n  .space 131073\n.text\n  halt\n");
+  const MachineConfig cfg;
+  EXPECT_NO_THROW(make_processor(fits, cfg, PolicySpec{}));
+  try {
+    make_processor(past, cfg, PolicySpec{});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("1048584 bytes) exceeds "
+                                         "data_memory_bytes 1048576"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(simulate(past, cfg, PolicySpec{}, 100), std::invalid_argument);
+  EXPECT_THROW(MultiCoreSim({CoreSpec{fits, {}}, CoreSpec{past, {}}},
+                            MultiCoreParams{}),
+               std::invalid_argument);
+  MachineConfig big = cfg;
+  big.data_memory_bytes = past.data_bytes();
+  EXPECT_NO_THROW(make_processor(past, big, PolicySpec{}));
+}
+
 // ------------------------------------------------- stall diagnostics
 
 TEST(StallDetection, StallProducesMachineStateDigest) {

@@ -316,7 +316,14 @@ TEST(Resilience, HostileFramesAnswerBadRequestAndTheConnectionLives) {
       nested,
       R"({"type":"submit","kernel":"fib","max_cycles":7-3})",
       R"({"type":"submit","kernel":"fib","max_cycles":--5})",
-      R"({"type":"submit","kernel":"fib","seed":1e})"};
+      R"({"type":"submit","kernel":"fib","seed":1e})",
+      // One word past the default 1 MiB data memory: it assembles and is
+      // queued, and the worker's Processor refuses it.
+      R"({"type":"submit","asm":".data\nbig: .space 131073\n)"
+      R"(.text\n  halt\n"})",
+      // 8 TB of data: the assembler refuses it before allocating.
+      R"({"type":"submit","asm":".data\nbig: .space 1000000000000\n)"
+      R"(.text\n  halt\n"})"};
   std::string frames;
   for (const std::string& frame : hostile) {
     frames += wire::encode(frame);
@@ -345,8 +352,12 @@ TEST(Resilience, HostileFramesAnswerBadRequestAndTheConnectionLives) {
       EXPECT_EQ(reply.id, "after");
     }
   }
-  EXPECT_EQ(harness.service().stats().submitted, 0u)
-      << "no malformed submit ran";
+  EXPECT_EQ(harness.service().stats().submitted, 2u)
+      << "no malformed frame reached a submit; the two data-image ones did";
+  EXPECT_NE(replies[4].find("data_memory_bytes"), std::string::npos)
+      << replies[4];
+  EXPECT_NE(replies[5].find("line 2: data image exceeds"), std::string::npos)
+      << replies[5];
 }
 
 // ---------------------------------------------------------------------------

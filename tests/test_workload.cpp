@@ -3,9 +3,12 @@
 // coverage of all five unit types.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
+#include "common/fnv1a.hpp"
 #include "core/reference.hpp"
+#include "steerbench_specs.hpp"
 #include "workload/kernels.hpp"
 #include "workload/synthetic.hpp"
 
@@ -27,6 +30,31 @@ TEST(Synthetic, DeterministicPerSeed) {
   auto other = spec;
   other.seed = 78;
   EXPECT_NE(generate_synthetic_asm(spec), generate_synthetic_asm(other));
+}
+
+TEST(Workload, GeneratedSourcesArePinned) {
+  // FNV-1a of steerbench's five generated programs at seeds 1-3, taken
+  // from the generator that built each line as one `+` chain. Its draw
+  // order (right to left within a line, as GCC evaluated those operands)
+  // is now written out statement by statement; reordering a draw changes
+  // every program, every exact count measured on one, and these digests.
+  constexpr std::array<std::array<std::uint64_t, 5>, 3> kDigests = {{
+      {0xf688e6fd74727ed3ull, 0x72e3acef4bfee043ull, 0x5e8cc96597eca995ull,
+       0xa9fb56318d38bd1cull, 0x722674d268a9e75cull},
+      {0x920ebfd4e8bed9dcull, 0x47a991f6503a6755ull, 0xf702a16a9b62c1b3ull,
+       0x3c4693c0b806b685ull, 0xe368c82ca6807015ull},
+      {0xc7040baf75d2aadeull, 0x84206433bcc1ef9cull, 0x3523d305e3fa2a23ull,
+       0xb67374a7d076e5f8ull, 0x7f4d3d728f3ee018ull},
+  }};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto specs = steerbench_specs::all(seed);
+    ASSERT_EQ(specs.size(), 5u);
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      const std::string text = generate_synthetic_asm(specs[k]);
+      EXPECT_EQ(Fnv1a().mix(text).value(), kDigests[seed - 1][k])
+          << specs[k].name << " at seed " << seed;
+    }
+  }
 }
 
 TEST(Synthetic, AssemblesAndHalts) {

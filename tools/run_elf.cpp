@@ -19,6 +19,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,7 +114,13 @@ int main(int argc, char** argv) {
     config.trace.enabled = true;
     config.trace.path = trace_path;
   }
-  auto cpu = make_processor(program, config, spec);
+  std::unique_ptr<Processor> cpu;
+  try {
+    cpu = make_processor(program, config, spec);
+  } catch (const std::invalid_argument& e) {  // e.g. data past data memory
+    std::fprintf(stderr, "%s: %s\n", input_name.c_str(), e.what());
+    return 1;
+  }
   const std::uint64_t max_cycles = bench::cycle_budget();
   const RunOutcome outcome = cpu->run(max_cycles);
 
